@@ -56,7 +56,11 @@ import repro
 #: summary store (``summaries/`` subtree, content-addressed SCC
 #: entries keyed by body + callee-summary fingerprints) backing
 #: incremental re-vets; pre-incremental rows are invalidated.
-CACHE_SCHEMA = 6
+#: 7: keys drop the ICC-resolution mode (corpus sweeps always resolve),
+#: and targeted rows vetted under a pack count the targeted report's
+#: findings -- one pipeline for sweeps and serving -- not a full vet of
+#: the slice.
+CACHE_SCHEMA = 7
 
 _FALSY = {"0", "false", "off", "no"}
 
@@ -115,7 +119,6 @@ def row_key(
     fingerprint: str,
     targets_fp: str = "",
     rules_fp: str = "",
-    resolve_fp: str = "",
 ) -> str:
     """Cache key for one app of one corpus under one config matrix.
 
@@ -128,16 +131,10 @@ def row_key(
     of the pack the sweep vets under, or ``""`` when no pack is run.
     A row's ``finding_counts`` are a function of the pack, so rows
     vetted under different packs must never alias.
-
-    ``resolve_fp`` marks the ICC-resolution mode the sweep vets under
-    (``""`` for the resolving default, ``"no-resolve-icc"`` for the
-    legacy over-approximation).  A row's finding counts can differ
-    between the two -- a linked leak only surfaces when stitching runs
-    -- so the modes must never alias.
     """
     blob = json.dumps(
         [base_seed, size, profile_fp, index, fingerprint, targets_fp,
-         rules_fp, resolve_fp],
+         rules_fp],
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -1,9 +1,16 @@
-"""Per-app evaluation harness.
+"""The analysis pipeline and the per-app evaluation harness.
 
-One :func:`evaluate_app` call builds the functional workload once and
-prices it under every platform -- the exact experiment matrix behind
-the paper's Figures 4 and 8-12 and Tables I-II.  Results are cached
-per (corpus identity, app index) inside a process so multiple
+:func:`run_pipeline` is the only code that turns an app and its options
+into a result: one lint gate, one build step (whole app, backward slice
+or summary-store replay), one pricing pass, one vet and one row.  Every
+entry point calls it -- the serial and forked corpus sweeps, the
+baseline sweep and both serving lanes -- so their rows agree by
+construction.
+
+Its pricing pass is :func:`evaluate_app`: the functional workload,
+built once, priced under every platform -- the exact experiment matrix
+behind the paper's Figures 4 and 8-12 and Tables I-II.  Results are
+cached per (corpus identity, app index) inside a process so multiple
 benchmarks over the same corpus never repeat the functional run.
 
 :func:`evaluate_corpus` layers two more mechanisms on top:
@@ -20,9 +27,10 @@ per-stage wall time) retrievable via :func:`last_run_stats`.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.apk.corpus import AppCorpus
@@ -114,9 +122,9 @@ class AppEvaluation:
 
 @dataclass(frozen=True)
 class LintErrorRow:
-    """A corpus row for an app the strict lint gate rejected.
+    """A row for an app the strict lint gate rejected.
 
-    Produced by :func:`evaluate_corpus` under ``strict=True`` so one
+    Produced by :func:`run_pipeline` under ``strict=True`` so one
     malformed app becomes a structured result instead of aborting the
     sweep.  Never cached: a strict run always re-verifies.
     """
@@ -134,9 +142,9 @@ class LintErrorRow:
 
 @dataclass(frozen=True)
 class TargetedSkipRow:
-    """A corpus row for an app the targeted pre-scan skipped entirely.
+    """A row for an app the targeted pre-scan skipped entirely.
 
-    Produced by targeted sweeps when none of the requested sinks is
+    Produced by targeted runs when none of the requested sinks is
     called anywhere in the app: there is nothing to slice, no IDFG is
     built, and the row records that (near-free) outcome.  Never
     cached -- the pre-scan is cheaper than a cache round-trip.
@@ -151,9 +159,9 @@ class TargetedSkipRow:
 
 @dataclass(frozen=True)
 class IncrementalVetRow:
-    """A corpus row produced by a baseline-seeded incremental re-vet.
+    """A row produced by a baseline-seeded incremental re-vet.
 
-    Produced by :func:`evaluate_corpus` with ``baseline=``: the app is
+    Produced by :func:`run_pipeline` with a baseline app: the app is
     vetted through :func:`repro.dataflow.incremental.vet_incremental`
     after its baseline version seeded the summary store, and the row
     records the reuse accounting instead of the pricing matrix.  Never
@@ -177,7 +185,7 @@ class IncrementalVetRow:
     finding_count: int
 
 
-#: What one corpus index evaluates to under ``strict=True``.
+#: What one app evaluates to.
 EvaluationRow = Union[
     AppEvaluation, LintErrorRow, TargetedSkipRow, IncrementalVetRow
 ]
@@ -191,6 +199,24 @@ _CONFIGS = {
     "full": GDroidConfig.all_optimizations(),
 }
 
+#: Serving engines, healthiest first (the serve degradation ladder).
+#: The engine only selects which modeled platform time is reported as
+#: a result's latency; the row itself is engine-independent.
+ENGINE_GDROID = "gdroid"
+ENGINE_PLAIN = "plain-gpu"
+ENGINE_CPU = "multicore-cpu"
+
+
+def engine_latency_s(row, engine: str) -> Optional[float]:
+    """Modeled single-app serving latency of ``row`` on ``engine``."""
+    if not isinstance(row, AppEvaluation):
+        return None
+    return {
+        ENGINE_GDROID: row.full_s,
+        ENGINE_PLAIN: row.plain_s,
+        ENGINE_CPU: row.cpu_s,
+    }[engine]
+
 
 def finding_severity_counts(findings) -> Tuple[int, int, int, int, int]:
     """Findings tallied per severity band, in ``SEVERITIES`` order."""
@@ -203,27 +229,15 @@ def finding_severity_counts(findings) -> Tuple[int, int, int, int, int]:
 
 
 def evaluate_app(
-    app: AndroidApp,
-    workload: Optional[AppWorkload] = None,
-    rules=None,
-    resolve_icc: bool = True,
+    app: AndroidApp, workload: Optional[AppWorkload] = None
 ) -> AppEvaluation:
-    """Run the full experiment matrix for one app.
+    """Price one app under the full experiment matrix.
 
-    With ``rules`` (a :class:`repro.rules.pack.RulePack`) the app is
-    additionally vetted under the pack and the row carries per-severity
-    finding counts.  ``resolve_icc=False`` vets with the legacy
-    receiver over-approximation (no string solver, no stitching).
+    ``workload`` is the app's built workload (built here when omitted).
+    The row carries no findings: :func:`run_pipeline` vets once and
+    stamps the pack's per-severity counts onto it.
     """
     workload = workload or AppWorkload.build(app)
-    finding_counts = (0, 0, 0, 0, 0)
-    if rules is not None:
-        from repro.vetting.report import vet_workload
-
-        vetted = vet_workload(
-            app, workload, rules=rules, resolve_icc=resolve_icc
-        )
-        finding_counts = finding_severity_counts(vetted.findings)
     priced = {
         name: GDroid(config).price(workload)
         for name, config in _CONFIGS.items()
@@ -255,80 +269,176 @@ def evaluate_app(
         visits_mer=profile.visits_mer,
         wl_mix_sync=size_mix(profile.worklist_sizes_sync),
         wl_mix_mer=size_mix(profile.worklist_sizes_mer),
-        finding_counts=finding_counts,
     )
 
 
-def _lint_error_row(app: AndroidApp, index: int, error) -> LintErrorRow:
-    """Structured row for one strict-gate rejection."""
-    errors = error.report.errors()
-    return LintErrorRow(
-        package=app.package,
-        category=app.category,
-        index=index,
-        rules=tuple(sorted({d.rule for d in errors})),
-        error_count=len(errors),
-        message=str(error),
-    )
+def check_options(targets, baseline) -> None:
+    """Reject the one option pair no entry point serves.
 
-
-def evaluate_or_lint_row(
-    app: AndroidApp,
-    index: int,
-    strict: bool,
-    targets=None,
-    rules=None,
-    resolve_icc: bool = True,
-) -> "EvaluationRow":
-    """Evaluate one app; under ``strict`` convert lint rejection to a row.
-
-    With ``strict=True`` the workload is built behind the lint gate: a
-    malformed app yields a :class:`LintErrorRow` carrying the fired
-    rules instead of propagating the exception (or worse, silently
-    mis-analyzing).
-
-    With ``targets`` (a :class:`repro.vetting.targeted.TargetSpec`) the
-    experiment matrix is priced on the backward slice instead of the
-    whole app: an app calling none of the targets yields a
-    :class:`TargetedSkipRow` without building any IDFG.
-
-    With ``rules`` (a :class:`repro.rules.pack.RulePack`) the row also
-    carries the pack's per-severity finding counts.
+    A backward slice and a summary-store replay are two different build
+    steps, so ``targets`` together with a ``baseline`` raises this one
+    :class:`ValueError` from :func:`run_pipeline`,
+    :func:`evaluate_corpus`, corpus job creation and the CLIs alike.
     """
-    if targets is None:
-        if not strict:
-            return evaluate_app(app, rules=rules, resolve_icc=resolve_icc)
-        from repro.lint import LintError
-
-        try:
-            workload = AppWorkload.build(app, lint_gate=True)
-        except LintError as error:
-            return _lint_error_row(app, index, error)
-        return evaluate_app(
-            app, workload, rules=rules, resolve_icc=resolve_icc
+    if targets is not None and baseline is not None:
+        raise ValueError(
+            "--baseline cannot be combined with --targets "
+            "(an incremental re-vet is always a full vet)"
         )
 
-    from repro.lint import LintError
-    from repro.vetting.targeted import build_targeted_workload
+
+def _lint_gate(app: AndroidApp, index: int) -> Optional[LintErrorRow]:
+    """The strict lint gate: None when ``app`` passes, else its row."""
+    import repro.lint as lint
 
     try:
-        targeted = build_targeted_workload(
-            app, targets, lint_gate=True if strict else None
-        )
-    except LintError as error:
-        return _lint_error_row(app, index, error)
-    if targeted.workload is None:
-        return TargetedSkipRow(
+        lint.check_app(app)
+    except lint.LintError as error:
+        errors = error.report.errors()
+        return LintErrorRow(
             package=app.package,
             category=app.category,
             index=index,
-            targets=targets.sinks,
+            rules=tuple(sorted({d.rule for d in errors})),
+            error_count=len(errors),
+            message=str(error),
         )
-    return evaluate_app(
-        targeted.sliced_app,
-        targeted.workload,
-        rules=rules,
-        resolve_icc=resolve_icc,
+    return None
+
+
+@dataclass
+class PipelineResult:
+    """What one :func:`run_pipeline` pass produces."""
+
+    row: object
+    verdict: Optional[str]
+    risk_score: Optional[int]
+    latency_s: Optional[float]
+    #: Total rule-pack findings (None unless the pass ran with rules).
+    findings: Optional[int] = None
+    #: Summary-store reuse counters (None unless the pass replayed a
+    #: baseline): hits, misses, methods_reused, methods_recomputed,
+    #: modeled_speedup -- plain JSON so pool workers can ship it.
+    incremental: Optional[dict] = None
+
+
+def run_pipeline(
+    app: AndroidApp,
+    index: int,
+    engine: str,
+    strict: bool,
+    vet: bool,
+    targets=None,
+    rules=None,
+    resolve_icc: bool = True,
+    baseline_app: Optional[AndroidApp] = None,
+    store=None,
+) -> PipelineResult:
+    """Lint gate -> build -> price -> vet, once, for one app.
+
+    * **Gate.** Under ``strict`` the app passes the lint gate first; a
+      rejection becomes a :class:`LintErrorRow` instead of an
+      exception, whatever the build step.
+    * **Build.** The whole app by default.  With ``targets`` (a
+      :class:`repro.vetting.targeted.TargetSpec`) only the backward
+      slice into those sinks; an app calling none of them yields a
+      :class:`TargetedSkipRow` without building any IDFG.  With
+      ``baseline_app`` (the previous version, or the app itself to
+      model resubmission) a replay of the method-summary ``store``
+      (default: the one under ``REPRO_CACHE_DIR``) that reuses every
+      untouched SCC and yields an :class:`IncrementalVetRow` plus the
+      reuse counters; a replay is not priced.
+    * **Price.** A built workload is priced under the full experiment
+      matrix; ``engine`` picks which modeled time is the latency.
+    * **Vet.** Once, when ``vet`` or ``rules`` asks for it, with that
+      latency as the report's analysis time.  Under ``rules`` (a
+      :class:`repro.rules.pack.RulePack`) the row carries the pack's
+      per-severity finding counts and the result their total.
+
+    ``targets`` with a baseline is rejected (:func:`check_options`).
+    """
+    check_options(targets, baseline_app)
+    if strict:
+        with obs.span(f"lint.gate:{app.package}", category="lint"):
+            rejected = _lint_gate(app, index)
+        if rejected is not None:
+            return PipelineResult(rejected, None, None, None)
+    # A strict app already passed the gate; otherwise the build keeps
+    # its REPRO_LINT_GATE default.
+    gate = False if strict else None
+    report = latency = incremental = None
+    if baseline_app is not None:
+        from repro.dataflow import incremental as replay
+
+        if store is None:
+            store = replay.MethodSummaryStore()
+        report, stats = replay.vet_incremental(
+            app, baseline_app, store, rules=rules, resolve_icc=resolve_icc
+        )
+        row = IncrementalVetRow(
+            package=app.package,
+            category=app.category,
+            index=index,
+            methods_total=stats.methods_total,
+            methods_reused=stats.methods_reused,
+            methods_recomputed=stats.methods_recomputed,
+            visits_cold=stats.visits_cold,
+            visits_incremental=stats.visits_incremental,
+            modeled_speedup=stats.modeled_speedup,
+            verdict=report.verdict,
+            risk_score=report.risk_score,
+            flow_count=len(report.flows),
+            finding_count=len(report.findings),
+        )
+        incremental = {
+            "hits": stats.scc_hits,
+            "misses": stats.scc_misses,
+            "methods_reused": stats.methods_reused,
+            "methods_recomputed": stats.methods_recomputed,
+            "modeled_speedup": stats.modeled_speedup,
+        }
+    else:
+        if targets is not None:
+            from repro.vetting import targeted
+
+            built = targeted.build_targeted_workload(
+                app, targets, lint_gate=gate
+            )
+            analyzed, workload = built.sliced_app, built.workload
+            vet_built = functools.partial(targeted.vet_targeted_report, built)
+        else:
+            from repro.vetting import report as reporting
+
+            analyzed = app
+            workload = AppWorkload.build(app, lint_gate=gate)
+            vet_built = functools.partial(
+                reporting.vet_workload, app, workload, resolve_icc=resolve_icc
+            )
+        if workload is None:
+            row = TargetedSkipRow(
+                package=app.package,
+                category=app.category,
+                index=index,
+                targets=targets.sinks,
+            )
+            latency = 0.0
+        else:
+            row = evaluate_app(analyzed, workload)
+            latency = engine_latency_s(row, engine)
+        if vet or rules is not None:
+            report = vet_built(analysis_time_s=latency or 0.0, rules=rules)
+            if rules is not None and workload is not None:
+                row = replace(
+                    row,
+                    finding_counts=finding_severity_counts(report.findings),
+                )
+    return PipelineResult(
+        row=row,
+        verdict=report.verdict if vet else None,
+        risk_score=report.risk_score if vet else None,
+        latency_s=latency,
+        findings=len(report.findings) if rules is not None else None,
+        incremental=incremental,
     )
 
 
@@ -344,24 +454,16 @@ def _relint_cached_row(
     rejection replaces the row, upholding the "a strict run always
     re-verifies" contract.
     """
-    import repro.lint as lint_module
-
     with obs.span(f"relint[{index}]", category="lint", index=index):
-        try:
-            lint_module.check_app(app)
-        except lint_module.LintError as error:
-            return _lint_error_row(app, index, error)
-    return row
+        rejected = _lint_gate(app, index)
+    return rejected or row
 
 
 #: Process-wide evaluation cache:
 #: (base_seed, size, profile fingerprint, index, targets fingerprint,
-#: rules fingerprint, resolve mode) -> row.  The targets fingerprint
-#: is "" for full-IDFG sweeps; the rules fingerprint is "" for
-#: pack-less sweeps; the resolve mode is "resolve-icc" or "".
-_CACHE: Dict[
-    Tuple[int, int, str, int, str, str, str], AppEvaluation
-] = {}
+#: rules fingerprint) -> row.  The targets fingerprint is "" for
+#: full-IDFG sweeps; the rules fingerprint is "" for pack-less sweeps.
+_CACHE: Dict[Tuple[int, int, str, int, str, str], AppEvaluation] = {}
 
 
 @dataclass
@@ -453,50 +555,32 @@ def _evaluate_incremental(
     corpus: AppCorpus,
     baseline,
     count: int,
+    strict: bool,
     rules,
-    resolve_icc: bool,
     disk,
     stats: CorpusRunStats,
 ) -> Dict[int, EvaluationRow]:
-    """Baseline-seeded incremental sweep: one IncrementalVetRow per app.
+    """Baseline-seeded incremental sweep: one :func:`run_pipeline` per app.
 
     ``baseline`` provides the version-N app per index (any object with
     an ``app(index)`` method -- typically another :class:`AppCorpus`,
     or the corpus itself to model resubmission).  Rows are never
-    cached; the summary store underneath *is* the cache.
+    cached; the summary store underneath -- the cache's ``summaries/``
+    level, so ``no_cache`` turns it off too -- *is* the cache.
     """
-    from repro.dataflow.incremental import vet_incremental
-
     store = disk.summary_store()
     rows: Dict[int, EvaluationRow] = {}
     for index in range(count):
-        app = corpus.app(index)
         with obs.span(
             f"incremental[{index}]", category="app", index=index
         ):
-            report, inc = vet_incremental(
-                app,
-                baseline.app(index),
-                store,
-                rules=rules,
-                resolve_icc=resolve_icc,
+            result = run_pipeline(
+                corpus.app(index), index, ENGINE_GDROID, strict, False,
+                rules=rules, baseline_app=baseline.app(index), store=store,
             )
-        rows[index] = IncrementalVetRow(
-            package=app.package,
-            category=app.category,
-            index=index,
-            methods_total=inc.methods_total,
-            methods_reused=inc.methods_reused,
-            methods_recomputed=inc.methods_recomputed,
-            visits_cold=inc.visits_cold,
-            visits_incremental=inc.visits_incremental,
-            modeled_speedup=inc.modeled_speedup,
-            verdict=report.verdict,
-            risk_score=report.risk_score,
-            flow_count=len(report.flows),
-            finding_count=len(report.findings),
-        )
-        stats.methods_reused += inc.methods_reused
+        rows[index] = result.row
+        if result.incremental:
+            stats.methods_reused += result.incremental["methods_reused"]
         stats.evaluated += 1
     stats.summary_hits = store.hits
     stats.summary_misses = store.misses
@@ -511,16 +595,15 @@ def evaluate_corpus(
     strict: bool = False,
     targets=None,
     rules=None,
-    resolve_icc: bool = True,
     baseline=None,
 ) -> List[EvaluationRow]:
     """Evaluate a corpus slice with caching and optional parallelism.
 
     Lookup order per app index: in-process cache, then the on-disk
-    cache (unless disabled), then evaluation -- serially, or fanned out
-    over ``jobs`` forked workers (default from ``REPRO_BENCH_JOBS``).
-    Rows are returned in index order either way, and newly computed
-    rows are persisted for the next run.
+    cache (unless disabled), then :func:`run_pipeline` -- serially, or
+    fanned out over ``jobs`` forked workers (default from
+    ``REPRO_BENCH_JOBS``).  Rows are returned in index order either
+    way, and newly computed rows are persisted for the next run.
 
     Under ``strict=True`` every returned row has passed the lint gate
     *this run*: freshly evaluated apps are gated before evaluation, and
@@ -546,9 +629,10 @@ def evaluate_corpus(
     resubmission) every app is vetted *incrementally*: the baseline
     app seeds the cache's method-summary store, the new version reuses
     every untouched SCC, and the row is an :class:`IncrementalVetRow`
-    carrying the reuse accounting.  Incremental rows are never
-    row-cached (the summary store underneath is the cache) and the
-    sweep runs serially.
+    carrying the reuse accounting (or a :class:`LintErrorRow` under
+    ``strict``).  Incremental rows are never row-cached (the summary
+    store underneath is the cache) and the sweep runs serially.
+    ``targets`` with a ``baseline`` is rejected (:func:`check_options`).
 
     An explicit ``limit=0`` evaluates nothing; ``limit=None`` means the
     whole corpus.
@@ -563,6 +647,7 @@ def evaluate_corpus(
     )
     from repro.bench.parallel import evaluate_parallel, resolve_jobs
 
+    check_options(targets, baseline)
     if limit is None:
         count = corpus.size
     else:
@@ -584,7 +669,7 @@ def evaluate_corpus(
             "corpus.evaluate", category="evaluate", missing=count
         ):
             rows = _evaluate_incremental(
-                corpus, baseline, count, rules, resolve_icc, disk, stats
+                corpus, baseline, count, strict, rules, disk, stats
             )
         stats.evaluate_s = time.perf_counter() - started
         stats.total_s = stats.evaluate_s
@@ -606,7 +691,6 @@ def evaluate_corpus(
     fingerprint = config_fingerprint(_CONFIGS) if disk.enabled else ""
     targets_fp = targets.fingerprint() if targets is not None else ""
     rules_fp = rules.fingerprint() if rules is not None else ""
-    resolve_fp = "" if resolve_icc else "no-resolve-icc"
     rows: Dict[int, EvaluationRow] = {}
     missing: List[int] = []
     disk_keys: Dict[int, str] = {}
@@ -614,7 +698,7 @@ def evaluate_corpus(
         for index in range(count):
             key = (
                 corpus.base_seed, corpus.size, profile_fp, index,
-                targets_fp, rules_fp, resolve_fp,
+                targets_fp, rules_fp,
             )
             row = _CACHE.get(key)
             if row is not None:
@@ -628,7 +712,6 @@ def evaluate_corpus(
                     fingerprint,
                     targets_fp,
                     rules_fp,
-                    resolve_fp,
                 )
                 row = disk.load(disk_keys[index])
                 if row is not None:
@@ -654,17 +737,17 @@ def evaluate_corpus(
             if jobs > 1 and len(missing) > 1:
                 fresh = evaluate_parallel(
                     corpus, missing, jobs, strict=strict, targets=targets,
-                    rules=rules, resolve_icc=resolve_icc,
+                    rules=rules,
                 )
                 stats.workers = min(jobs, len(missing))
             else:
                 fresh = {}
                 for index in missing:
                     with obs.span(f"app[{index}]", category="app", index=index):
-                        fresh[index] = evaluate_or_lint_row(
-                            corpus.app(index), index, strict, targets,
-                            rules, resolve_icc,
-                        )
+                        fresh[index] = run_pipeline(
+                            corpus.app(index), index, ENGINE_GDROID, strict,
+                            False, targets, rules,
+                        ).row
         stats.evaluated = len(missing)
         stats.evaluate_s = time.perf_counter() - evaluated_at
 
@@ -677,7 +760,7 @@ def evaluate_corpus(
                     continue  # lint-error / targeted-skip rows: never cached
                 _CACHE[
                     (corpus.base_seed, corpus.size, profile_fp, index,
-                     targets_fp, rules_fp, resolve_fp)
+                     targets_fp, rules_fp)
                 ] = row
                 if disk.enabled:
                     disk.store(disk_keys[index], row)

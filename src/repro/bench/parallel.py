@@ -1,6 +1,6 @@
 """Parallel corpus evaluation (host-side performance layer).
 
-:func:`evaluate_parallel` fans an :func:`repro.bench.harness.evaluate_app`
+:func:`evaluate_parallel` fans a :func:`repro.bench.harness.run_pipeline`
 sweep out over a process pool (``fork`` where available, ``spawn``
 otherwise -- see :func:`worker_context`).  The corpus is never
 pickled: each worker receives only ``(base_seed, size, profile)`` plus
@@ -96,10 +96,7 @@ ChunkResult = Tuple[
 
 
 def _evaluate_chunk(
-    task: Tuple[
-        int, int, GeneratorProfile, Sequence[int], bool, bool, Any, Any,
-        bool,
-    ]
+    task: Tuple[int, int, GeneratorProfile, Sequence[int], bool, bool, Any, Any]
 ) -> ChunkResult:
     """Worker body: regenerate the corpus and evaluate one index chunk.
 
@@ -117,12 +114,11 @@ def _evaluate_chunk(
     ships the recorded spans home (a forked worker's tracer appends
     would otherwise die with the fork).
     """
-    from repro.bench.harness import evaluate_or_lint_row
+    from repro.bench.harness import ENGINE_GDROID, run_pipeline
 
     base_seed, size, profile, indices, strict, trace, *rest = task
     targets = rest[0] if rest else None
     rules = rest[1] if len(rest) > 1 else None
-    resolve_icc = rest[2] if len(rest) > 2 else True
     corpus = AppCorpus(size=size, base_seed=base_seed, profile=profile)
     tracer = obs.Tracer() if trace else None
     previous = obs.activate(tracer) if tracer is not None else None
@@ -132,15 +128,11 @@ def _evaluate_chunk(
         for index in indices:
             random.seed(base_seed * 1_000_003 + index)
             with obs.span(f"app[{index}]", category="app", index=index):
-                rows.append(
-                    (
-                        index,
-                        evaluate_or_lint_row(
-                            corpus.app(index), index, strict, targets,
-                            rules, resolve_icc,
-                        ),
-                    )
+                result = run_pipeline(
+                    corpus.app(index), index, ENGINE_GDROID, strict, False,
+                    targets, rules,
                 )
+            rows.append((index, result.row))
     finally:
         random.setstate(rng_state)
         if tracer is not None:
@@ -160,7 +152,6 @@ def evaluate_parallel(
     strict: bool = False,
     targets=None,
     rules=None,
-    resolve_icc: bool = True,
 ) -> Dict[int, "EvaluationRow"]:
     """Evaluate ``indices`` of ``corpus`` across ``jobs`` workers.
 
@@ -184,7 +175,6 @@ def evaluate_parallel(
             trace,
             targets,
             rules,
-            resolve_icc,
         )
         for chunk in chunks
     ]

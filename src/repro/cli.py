@@ -502,11 +502,12 @@ def _render_findings(report, rules, args: argparse.Namespace) -> None:
 
 
 def _cmd_vet(args: argparse.Namespace) -> int:
-    from repro.vetting.targeted import TargetSpecError
+    from repro.bench.harness import check_options
 
     try:
         spec = _parse_targets(args)
-    except (TargetSpecError, OSError) as error:
+        check_options(spec, args.baseline)
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     rules = None
@@ -519,13 +520,6 @@ def _cmd_vet(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     if args.baseline:
-        if spec is not None:
-            print(
-                "error: --baseline cannot be combined with --targets "
-                "(an incremental re-vet is always a full vet)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.apk.diff import BaselineError, diff_apps, load_baseline
         from repro.bench.cache import EvaluationCache
         from repro.dataflow.incremental import vet_incremental
@@ -867,6 +861,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro import obs
+    from repro.bench.harness import check_options
     from repro.serve import (
         CorpusSource,
         DirectoryFeed,
@@ -879,11 +874,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_stream,
     )
 
-    from repro.vetting.targeted import TargetSpecError
-
     try:
         inject = parse_inject(args.inject)
         targets = _parse_targets(args)
+        check_options(targets, args.baseline)
+        if args.watch and targets is not None:
+            raise ValueError(
+                "--watch takes no --targets: path-fed jobs are always "
+                "full vets"
+            )
         if args.rules:
             # Fail fast on an unknown pack instead of per-job in workers.
             from repro.rules import load_pack
@@ -891,7 +890,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             load_pack(args.rules)
         if args.recover and not args.journal:
             raise ValueError("--recover needs --journal FILE")
-    except (ValueError, TargetSpecError, OSError) as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = ServeConfig(
@@ -915,10 +914,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         obs.activate(tracer)
     try:
         if args.watch:
+            options = dict(
+                rules=args.rules,
+                resolve_icc=args.resolve_icc,
+                baseline=args.baseline,
+            )
             feed = (
-                StdinFeed()
+                StdinFeed(**options)
                 if args.watch == "-"
-                else DirectoryFeed(args.watch, idle_s=args.watch_idle_s)
+                else DirectoryFeed(
+                    args.watch, idle_s=args.watch_idle_s, **options
+                )
             )
             report = serve_stream(feed, config=config)
         elif args.recover:

@@ -12,7 +12,7 @@ Layout::
     queue.py    bounded intake with admission control / backpressure
     sharder.py  Table-I size-class batching + LPT worker placement
     faults.py   seeded fault injection (crash / OOM / corrupt / stall)
-    workers.py  device workers, pipeline execution, engine ladder
+    workers.py  device workers, job decoding, engine ladder
     journal.py  durable state: job journal + partitioned result stores
     pool.py     real OS-process worker lanes (ProcessWorkerPool)
     service.py  the orchestrator: retries, backoff, accounting, obs

@@ -352,11 +352,14 @@ class PartitionResultStore:
             os.unlink(tmp)
             raise
 
-    def poll(self, seen: Set[str]) -> List[Dict[str, Any]]:
+    def poll(self, seen: Set[Tuple[str, int]]) -> List[Dict[str, Any]]:
         """Records published since ``seen`` (which is updated in place).
 
         Ordered oldest-first by (mtime, name) so the orchestrator
-        consumes results roughly in completion order.
+        consumes results roughly in completion order.  A record is
+        known by path *and* inode: a recovery run re-serving an attempt
+        a dead run already published replaces the file under the same
+        path, and that republished record must still be read.
         """
         fresh: List[Tuple[float, str, Dict[str, Any]]] = []
         for directory in sorted(self.root.glob("worker-*")):
@@ -365,9 +368,9 @@ class PartitionResultStore:
             except OSError:
                 continue
             for entry in entries:
-                name = f"{directory.name}/{entry.name}"
+                key = (entry.path, entry.inode())
                 if (
-                    name in seen
+                    key in seen
                     or entry.name.startswith(".tmp-")
                     or not entry.name.endswith(".json")
                 ):
@@ -376,7 +379,8 @@ class PartitionResultStore:
                     record = json.loads(Path(entry.path).read_text())
                 except (OSError, ValueError):
                     continue
-                seen.add(name)
+                seen.add(key)
+                name = f"{directory.name}/{entry.name}"
                 fresh.append((entry.stat().st_mtime, name, record))
         fresh.sort(key=lambda item: (item[0], item[1]))
         return [record for _, _, record in fresh]

@@ -170,12 +170,13 @@ def _attempt(
     started: int,
 ) -> Dict[str, Any]:
     """One synchronous processing attempt inside a worker process."""
+    from repro.apk.diff import BaselineError
     from repro.apk.dex import GdxFormatError
     from repro.apk.loader import load_gdx
     from repro.serve.workers import (
         ENGINE_GDROID,
         corrupt_roundtrip,
-        resolve_pack,
+        job_options,
         run_pipeline,
     )
 
@@ -189,45 +190,19 @@ def _attempt(
             app = corpus.app(index)
         else:
             app = load_gdx(job["source"])
-    except (OSError, GdxFormatError) as error:
+        if injector is not None and injector.is_corrupt(index):
+            corrupt_roundtrip(app)
+        if injector is not None and injector.should_oom(worker_id, started):
+            # Blow the real device-heap model; caught by the worker loop.
+            allocator.reserve(allocator.spec.global_memory_bytes + 1)
+        options = job_options(job, app)
+    except (OSError, GdxFormatError, BaselineError) as error:
         return make_result_record(
             job["job_id"], job["attempt"], worker_id, "corrupt",
             engine=engine, error=str(error),
         )
-    if injector is not None and injector.is_corrupt(index):
-        try:
-            corrupt_roundtrip(app)
-        except GdxFormatError as error:
-            return make_result_record(
-                job["job_id"], job["attempt"], worker_id, "corrupt",
-                engine=engine, error=str(error),
-            )
-    if injector is not None and injector.should_oom(worker_id, started):
-        # Blow the real device-heap model; caught by the worker loop.
-        allocator.reserve(allocator.spec.global_memory_bytes + 1)
-    targets = None
-    if job.get("targets"):
-        from repro.vetting.targeted import TargetSpec
-
-        targets = TargetSpec(sinks=tuple(job["targets"]))
-    rules = resolve_pack(job["rules"]) if job.get("rules") else None
-    baseline_app = None
-    baseline = job.get("baseline")
-    if baseline == "corpus":
-        # Resubmission: this very container is its own baseline.
-        baseline_app = app
-    elif baseline:
-        try:
-            baseline_app = load_gdx(baseline)
-        except (OSError, GdxFormatError) as error:
-            return make_result_record(
-                job["job_id"], job["attempt"], worker_id, "corrupt",
-                engine=engine, error=f"baseline: {error}",
-            )
     result = run_pipeline(
-        app, index, engine, spec.strict, spec.vet, targets, rules,
-        resolve_icc=bool(job.get("resolve_icc", True)),
-        baseline_app=baseline_app,
+        app, index, engine, spec.strict, spec.vet, **options
     )
     return make_result_record(
         job["job_id"], job["attempt"], worker_id, "ok",

@@ -49,6 +49,7 @@ from typing import (
 
 from repro import obs
 from repro.apk.corpus import AppCorpus
+from repro.bench.harness import PipelineResult, check_options
 from repro.serve.faults import (
     CORRUPT_APK,
     DEVICE_OOM,
@@ -72,7 +73,7 @@ from repro.serve.journal import (
 from repro.serve.pool import PoolSpec, ProcessWorkerPool
 from repro.serve.queue import AdmissionQueue
 from repro.serve.sharder import JobBatch, Sharder, classify, make_batches
-from repro.serve.workers import DeviceWorker, PipelineResult
+from repro.serve.workers import DeviceWorker
 
 
 class ServiceCrash(RuntimeError):
@@ -167,7 +168,12 @@ class CorpusSource:
         baseline ref: ``"corpus"`` marks the job as a resubmission of
         its own container (the summary store is seeded from it), any
         other value is a prior-version ``.gdx`` path.
+
+        ``targets`` with a ``baseline`` is rejected
+        (:func:`repro.bench.harness.check_options`) before any job
+        exists to admit.
         """
+        check_options(targets, baseline)
         count = self.corpus.size if count is None else count
         jobs = []
         for index in range(count):
@@ -247,10 +253,24 @@ class _PathFeedBase:
     A feed doubles as the service's app *source*: streamed jobs carry
     their ``.gdx`` path in ``source``, and :meth:`app_for` loads from
     it directly (no index table -- the job set is open-ended).
+
+    Every streamed job carries the feed's ``rules`` pack name,
+    ``resolve_icc`` mode and ``baseline`` ref, as corpus and ``submit``
+    jobs do.  Path-fed jobs take no targets.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        rules: Optional[str] = None,
+        resolve_icc: bool = True,
+        baseline: Optional[str] = None,
+    ) -> None:
         self._next_index = 0
+        self._options = {
+            "rules": rules,
+            "resolve_icc": resolve_icc,
+            "baseline": baseline,
+        }
 
     def app_for(self, job: VetJob):
         from repro.apk.loader import load_gdx
@@ -271,6 +291,7 @@ class _PathFeedBase:
             source=str(path),
             est_cost=size,
             size_class=classify(size / 12.0),
+            **self._options,
         )
 
 
@@ -288,8 +309,10 @@ class DirectoryFeed(_PathFeedBase):
     #: Sentinel file name that cleanly ends the watch.
     STOP = "STOP"
 
-    def __init__(self, root, poll_s: float = 0.05, idle_s: float = 5.0) -> None:
-        super().__init__()
+    def __init__(
+        self, root, poll_s: float = 0.05, idle_s: float = 5.0, **options
+    ) -> None:
+        super().__init__(**options)
         self.root = Path(root)
         self.poll_s = poll_s
         self.idle_s = idle_s
@@ -326,8 +349,8 @@ class StdinFeed(_PathFeedBase):
     interpreter shutdown, so exit cannot hang on an open pipe.
     """
 
-    def __init__(self, stream=None) -> None:
-        super().__init__()
+    def __init__(self, stream=None, **options) -> None:
+        super().__init__(**options)
         self.stream = stream if stream is not None else sys.stdin
 
     async def jobs(self) -> AsyncIterator[VetJob]:

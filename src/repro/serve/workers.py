@@ -1,4 +1,4 @@
-"""Simulated device workers: pipeline execution + degradation ladder.
+"""Simulated device workers: job decoding + degradation ladder.
 
 Each :class:`DeviceWorker` models one GPU-equipped vetting node.  It
 owns a real :class:`repro.gpu.allocator.DeviceAllocator` (so injected
@@ -13,50 +13,44 @@ for survival (the paper's plain kernel, then the 10-core CPU model).
 A crash-restart resets the ladder -- a fresh device is presumed
 healthy.
 
-The *functional* result is engine-independent: every attempt runs the
-same :func:`repro.bench.harness.evaluate_app` matrix, so a row served
-by a degraded worker is bit-identical to one served at full health.
-The rung only selects which modeled platform time is reported as the
-job's serving latency, exactly like re-pointing a request at a slower
-replica.
+The *functional* result is engine-independent: every attempt runs
+:func:`repro.bench.harness.run_pipeline`, the same function
+``evaluate_corpus`` calls, so a row served by a degraded worker is
+bit-identical to one served at full health and to a direct sweep.  The
+rung only selects which modeled platform time is reported as the job's
+serving latency, exactly like re-pointing a request at a slower
+replica.  Both lanes (this in-process worker and the process pool's
+``_attempt``) look ``run_pipeline`` up through this module at call
+time, so a wrapper set on this module's attribute sees every served
+job.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-from dataclasses import dataclass, replace
-from typing import Optional, TYPE_CHECKING
+from typing import Any, Dict, Mapping, TYPE_CHECKING
 
 from repro import obs
 from repro.apk.dex import pack_app, unpack_app
-from repro.core.engine import AppWorkload
+from repro.bench.harness import (
+    ENGINE_CPU,
+    ENGINE_GDROID,
+    ENGINE_PLAIN,
+    engine_latency_s,  # noqa: F401 - part of the serve call surface
+    run_pipeline,
+)
 from repro.gpu.allocator import DeviceAllocator, DeviceOutOfMemory
 from repro.serve.faults import WorkerCrash
 from repro.serve.jobs import JobState, VetJob
+from repro.serve.journal import job_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.app import AndroidApp
     from repro.serve.service import VettingService
 
 #: Degradation ladder, healthiest first.
-ENGINE_GDROID = "gdroid"
-ENGINE_PLAIN = "plain-gpu"
-ENGINE_CPU = "multicore-cpu"
 ENGINE_LADDER = (ENGINE_GDROID, ENGINE_PLAIN, ENGINE_CPU)
-
-
-def engine_latency_s(row, engine: str) -> Optional[float]:
-    """Modeled single-app serving latency of ``row`` on ``engine``."""
-    from repro.bench.harness import AppEvaluation
-
-    if not isinstance(row, AppEvaluation):
-        return None
-    return {
-        ENGINE_GDROID: row.full_s,
-        ENGINE_PLAIN: row.plain_s,
-        ENGINE_CPU: row.cpu_s,
-    }[engine]
 
 
 @functools.lru_cache(maxsize=8)
@@ -71,244 +65,36 @@ def resolve_pack(name: str):
     return load_pack(name)
 
 
-@dataclass
-class PipelineResult:
-    """What one successful pipeline pass produces."""
+def job_options(job: Mapping[str, Any], app: "AndroidApp") -> Dict[str, Any]:
+    """A job spec's options as :func:`run_pipeline` keyword arguments.
 
-    row: object
-    verdict: Optional[str]
-    risk_score: Optional[int]
-    latency_s: Optional[float]
-    #: Total rule-pack findings (None unless the pass ran with rules).
-    findings: Optional[int] = None
-    #: Summary-store reuse counters (None unless the job carried a
-    #: baseline ref): hits, misses, methods_reused, methods_recomputed,
-    #: modeled_speedup -- plain JSON so pool workers can ship it.
-    incremental: Optional[dict] = None
-
-
-def run_pipeline(
-    app: "AndroidApp",
-    index: int,
-    engine: str,
-    strict: bool,
-    vet: bool,
-    targets=None,
-    rules=None,
-    resolve_icc: bool = True,
-    baseline_app: Optional["AndroidApp"] = None,
-) -> PipelineResult:
-    """loader -> lint gate -> GDroid kernel -> vetting report, once.
-
-    Mirrors :func:`repro.bench.harness.evaluate_or_lint_row` exactly so
-    service rows are bit-identical to a direct ``evaluate_corpus``
-    sweep: the workload is built with default tuning, and under
-    ``strict`` a lint rejection becomes a structured row instead of an
-    exception.
-
-    With ``targets`` (a :class:`repro.vetting.targeted.TargetSpec`) the
-    job goes down the demand-driven path: pre-scan for the targeted
-    sinks, analyze only the backward slice, and report only flows into
-    those sinks.  An app calling none of the targets is served clean
-    from the pre-scan alone (``TargetedSkipRow``, no IDFG).
-
-    With ``rules`` (a :class:`repro.rules.pack.RulePack`) the vetting
-    pass runs under the pack: sanitizer-aware taint, graded findings on
-    the row (per-severity counts) and in the result (total).
-
-    With ``baseline_app`` (the previously-vetted version of the same
-    app, or the app itself to model resubmission) the job takes the
-    incremental path: the baseline seeds the method-summary store, the
-    new version reuses every untouched SCC, and the result carries an
-    :class:`repro.bench.harness.IncrementalVetRow` plus the reuse
-    counters the service surfaces as ``serve.incremental.*``.
-    ``targets`` is not combinable with a baseline (the CLI rejects the
-    pair); the baseline path wins if both are passed.
+    Sink names become a :class:`repro.vetting.targeted.TargetSpec`, the
+    pack name a compiled pack (:func:`resolve_pack`), and the baseline
+    ref the baseline app: ``"corpus"`` is the job's own container (a
+    resubmission), any other ref a prior-version ``.gdx`` path.  An
+    unreadable baseline raises :class:`repro.apk.diff.BaselineError`,
+    which both lanes report as a corrupt job.
     """
-    from repro.bench.harness import (
-        _lint_error_row,
-        evaluate_app,
-        finding_severity_counts,
-    )
+    targets = None
+    if job.get("targets"):
+        from repro.vetting.targeted import TargetSpec
 
-    if baseline_app is not None:
-        return _run_incremental_pipeline(
-            app, index, baseline_app, vet, rules, resolve_icc
-        )
-    if targets is not None:
-        return _run_targeted_pipeline(
-            app, index, engine, strict, vet, targets, rules
-        )
-    if strict:
-        from repro.lint import LintError
+        targets = TargetSpec(sinks=tuple(job["targets"]))
+    baseline = job.get("baseline")
+    if baseline == "corpus":
+        baseline_app = app
+    elif baseline:
+        from repro.apk.diff import load_baseline
 
-        try:
-            workload = AppWorkload.build(app, lint_gate=True)
-        except LintError as error:
-            return PipelineResult(
-                row=_lint_error_row(app, index, error),
-                verdict=None,
-                risk_score=None,
-                latency_s=None,
-            )
+        baseline_app = load_baseline(baseline)
     else:
-        workload = AppWorkload.build(app)
-    row = evaluate_app(app, workload)
-    latency = engine_latency_s(row, engine)
-    verdict = risk = findings = None
-    if vet or rules is not None:
-        from repro.vetting.report import vet_workload
-
-        report = vet_workload(
-            app,
-            workload,
-            analysis_time_s=latency or 0.0,
-            rules=rules,
-            resolve_icc=resolve_icc,
-        )
-        if vet:
-            verdict, risk = report.verdict, report.risk_score
-        if rules is not None:
-            # The row a rules job serves is the same row evaluate_corpus
-            # (rules=pack) computes: same workload, same pack, one vet.
-            row = replace(
-                row,
-                finding_counts=finding_severity_counts(report.findings),
-            )
-            findings = len(report.findings)
-    return PipelineResult(
-        row=row, verdict=verdict, risk_score=risk, latency_s=latency,
-        findings=findings,
-    )
-
-
-def _run_incremental_pipeline(
-    app: "AndroidApp",
-    index: int,
-    baseline_app: "AndroidApp",
-    vet: bool,
-    rules=None,
-    resolve_icc: bool = True,
-) -> PipelineResult:
-    """The baseline-seeded incremental variant of :func:`run_pipeline`.
-
-    The summary store lives at the default two-level cache root
-    (``REPRO_CACHE_DIR``), so pool worker processes share reuse through
-    the filesystem exactly like the row cache.
-    """
-    from repro.bench.harness import IncrementalVetRow
-    from repro.dataflow.incremental import (
-        MethodSummaryStore,
-        vet_incremental,
-    )
-
-    store = MethodSummaryStore()
-    report, inc = vet_incremental(
-        app, baseline_app, store, rules=rules, resolve_icc=resolve_icc
-    )
-    row = IncrementalVetRow(
-        package=app.package,
-        category=app.category,
-        index=index,
-        methods_total=inc.methods_total,
-        methods_reused=inc.methods_reused,
-        methods_recomputed=inc.methods_recomputed,
-        visits_cold=inc.visits_cold,
-        visits_incremental=inc.visits_incremental,
-        modeled_speedup=inc.modeled_speedup,
-        verdict=report.verdict,
-        risk_score=report.risk_score,
-        flow_count=len(report.flows),
-        finding_count=len(report.findings),
-    )
-    return PipelineResult(
-        row=row,
-        verdict=report.verdict if vet else None,
-        risk_score=report.risk_score if vet else None,
-        latency_s=None,
-        findings=len(report.findings) if rules is not None else None,
-        incremental={
-            "hits": inc.scc_hits,
-            "misses": inc.scc_misses,
-            "methods_reused": inc.methods_reused,
-            "methods_recomputed": inc.methods_recomputed,
-            "modeled_speedup": inc.modeled_speedup,
-        },
-    )
-
-
-def _run_targeted_pipeline(
-    app: "AndroidApp",
-    index: int,
-    engine: str,
-    strict: bool,
-    vet: bool,
-    targets,
-    rules=None,
-) -> PipelineResult:
-    """The demand-driven variant of :func:`run_pipeline`."""
-    from repro.bench.harness import (
-        TargetedSkipRow,
-        _lint_error_row,
-        evaluate_app,
-        finding_severity_counts,
-    )
-    from repro.lint import LintError
-    from repro.vetting.targeted import (
-        build_targeted_workload,
-        vet_targeted_report,
-    )
-
-    try:
-        targeted = build_targeted_workload(
-            app, targets, lint_gate=True if strict else None
-        )
-    except LintError as error:
-        return PipelineResult(
-            row=_lint_error_row(app, index, error),
-            verdict=None,
-            risk_score=None,
-            latency_s=None,
-        )
-    if targeted.workload is None:
-        verdict = risk = findings = None
-        if vet or rules is not None:
-            report = vet_targeted_report(targeted, rules=rules)
-            if vet:
-                verdict, risk = report.verdict, report.risk_score
-            if rules is not None:
-                findings = len(report.findings)
-        return PipelineResult(
-            row=TargetedSkipRow(
-                package=app.package,
-                category=app.category,
-                index=index,
-                targets=targets.sinks,
-            ),
-            verdict=verdict,
-            risk_score=risk,
-            latency_s=0.0,
-            findings=findings,
-        )
-    row = evaluate_app(targeted.sliced_app, targeted.workload)
-    latency = engine_latency_s(row, engine)
-    verdict = risk = findings = None
-    if vet or rules is not None:
-        report = vet_targeted_report(
-            targeted, analysis_time_s=latency or 0.0, rules=rules
-        )
-        if vet:
-            verdict, risk = report.verdict, report.risk_score
-        if rules is not None:
-            row = replace(
-                row,
-                finding_counts=finding_severity_counts(report.findings),
-            )
-            findings = len(report.findings)
-    return PipelineResult(
-        row=row, verdict=verdict, risk_score=risk, latency_s=latency,
-        findings=findings,
-    )
+        baseline_app = None
+    return {
+        "targets": targets,
+        "rules": resolve_pack(job["rules"]) if job.get("rules") else None,
+        "resolve_icc": bool(job.get("resolve_icc", True)),
+        "baseline_app": baseline_app,
+    }
 
 
 def corrupt_roundtrip(app: "AndroidApp") -> None:
@@ -427,55 +213,28 @@ class DeviceWorker:
             engine=self.engine,
             attempt=job.attempts,
         ):
+            from repro.apk.diff import BaselineError
             from repro.apk.dex import GdxFormatError
 
             try:
+                # A genuinely unreadable/corrupt .gdx on disk (the app's
+                # or its baseline's) fails the same structured way an
+                # injected corruption does.
                 app = service.source.app_for(job)
-            except (OSError, GdxFormatError) as error:
-                # A genuinely unreadable/corrupt .gdx on disk fails the
-                # same structured way an injected corruption does.
+                if injector.is_corrupt(job.index):
+                    corrupt_roundtrip(app)
+                if injector.should_oom(self.worker_id, self.jobs_started):
+                    self.inject_oom()
+                options = job_options(job_spec(job), app)
+            except (OSError, GdxFormatError, BaselineError) as error:
                 service.on_corrupt_apk(job, self, str(error))
                 return
-            if injector.is_corrupt(job.index):
-                try:
-                    corrupt_roundtrip(app)
-                except GdxFormatError as error:
-                    service.on_corrupt_apk(job, self, str(error))
-                    return
-            if injector.should_oom(self.worker_id, self.jobs_started):
-                self.inject_oom()
-            targets = None
-            if job.targets:
-                from repro.vetting.targeted import TargetSpec
-
-                targets = TargetSpec(sinks=tuple(job.targets))
-            rules = resolve_pack(job.rules) if job.rules else None
-            baseline_app = None
-            baseline = getattr(job, "baseline", None)
-            if baseline == "corpus":
-                # Resubmission: the baseline is this very container, so
-                # the first attempt seeds the store and the measured
-                # pass hits it end to end.
-                baseline_app = app
-            elif baseline:
-                from repro.apk.loader import load_gdx
-
-                try:
-                    baseline_app = load_gdx(baseline)
-                except (OSError, GdxFormatError) as error:
-                    service.on_corrupt_apk(
-                        job, self, f"baseline: {error}"
-                    )
-                    return
             result = run_pipeline(
                 app,
                 job.index,
                 self.engine,
                 service.config.strict,
                 service.config.vet,
-                targets,
-                rules,
-                resolve_icc=getattr(job, "resolve_icc", True),
-                baseline_app=baseline_app,
+                **options,
             )
         service.on_job_success(job, self, result)

@@ -652,6 +652,29 @@ class TestPartitionResultStore:
         assert merged["job-0000"]["kind"] == "ok"
         assert len(merged) == 2
 
+    def test_republished_record_is_read_again(self, tmp_path):
+        """Regression: a recovery run re-serving an attempt that a dead
+        run already published replaces the file under the same name.
+        If the dead run's copy was polled (and dropped as stale) first,
+        the republished record must still be read, or the recovered
+        job never finishes."""
+        from repro.serve import PartitionResultStore
+        from repro.serve.journal import make_result_record
+
+        store = PartitionResultStore(tmp_path / "state")
+        seen: set = set()
+        store.write(
+            2, "job-0543", 1,
+            make_result_record("job-0543", 1, 2, "fault", fault="oom"),
+        )
+        assert [record["kind"] for record in store.poll(seen)] == ["fault"]
+        store.write(
+            2, "job-0543", 1,
+            make_result_record("job-0543", 1, 2, "ok", engine="gdroid"),
+        )
+        assert [record["kind"] for record in store.poll(seen)] == ["ok"]
+        assert store.poll(seen) == []
+
     def test_row_payload_roundtrip(self, demo_app):
         from repro.bench.harness import evaluate_app
         from repro.serve.journal import row_from_payload, row_to_payload
