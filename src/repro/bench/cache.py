@@ -181,23 +181,23 @@ class EvaluationCache:
 
         Orphans accumulate silently (one per writer death mid-store)
         and are invisible to ``load``/``store``, so open is the only
-        point that ever reclaims them.
+        point that ever reclaims them.  Every level is swept: row
+        writes leave them in the root, the summary store in
+        ``summaries/`` and its index in ``summaries/apps/``.
         """
         purged = 0
         now = time.time()
-        try:
-            entries = list(os.scandir(self.root))
-        except OSError:
-            return 0
-        for entry in entries:
-            if not entry.name.startswith(".tmp-"):
-                continue
-            try:
-                if now - entry.stat().st_mtime >= max_age_s:
-                    os.unlink(entry.path)
-                    purged += 1
-            except OSError:
-                continue
+        for directory, _, names in os.walk(self.root):
+            for name in names:
+                if not name.startswith(".tmp-"):
+                    continue
+                path = os.path.join(directory, name)
+                try:
+                    if now - os.stat(path).st_mtime >= max_age_s:
+                        os.unlink(path)
+                        purged += 1
+                except OSError:
+                    continue
         return purged
 
     def _path(self, key: str) -> Path:

@@ -316,9 +316,10 @@ class PipelineResult:
     latency_s: Optional[float]
     #: Total rule-pack findings (None unless the pass ran with rules).
     findings: Optional[int] = None
-    #: Summary-store reuse counters (None unless the pass replayed a
-    #: baseline): hits, misses, methods_reused, methods_recomputed,
-    #: modeled_speedup -- plain JSON so pool workers can ship it.
+    #: Summary-store reuse counters (None unless the pass re-vetted
+    #: against a baseline): hits, misses, methods_reused,
+    #: methods_recomputed, modeled_speedup, baseline_replayed -- plain
+    #: JSON so pool workers can ship it.
     incremental: Optional[dict] = None
 
 
@@ -396,6 +397,7 @@ def run_pipeline(
             "methods_reused": stats.methods_reused,
             "methods_recomputed": stats.methods_recomputed,
             "modeled_speedup": stats.modeled_speedup,
+            "baseline_replayed": stats.baseline_replayed,
         }
     else:
         if targets is not None:

@@ -136,3 +136,17 @@ def scc_store_key(
         sort_keys=True,
     )
     return _digest(blob)
+
+
+def app_store_key(schema: int, method_fingerprints: Dict[str, str]) -> str:
+    """Summary-store index key for one analyzed app.
+
+    ``method_fingerprints`` maps every method of the analyzed app
+    (environments included) to its :func:`method_fingerprint`.  Those
+    pairs determine every SCC key of the app, so two apps that share
+    this key share their whole list of SCC entries.
+    """
+    blob = json.dumps(
+        {"schema": schema, "methods": sorted(method_fingerprints.items())}
+    )
+    return _digest(blob)

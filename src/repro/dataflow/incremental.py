@@ -17,6 +17,14 @@ makes the re-run pay only for what changed:
   summaries and node facts without running a single worklist visit; a
   miss computes the SCC exactly as the reference does and persists it.
 
+* After its SCC entries are written, each pass writes one *index
+  entry*, ``apps/<app key>.json`` under the store root, listing the
+  app's SCC keys in bottom-up order.  The app key
+  (:func:`repro.dataflow.fingerprint.app_store_key`) digests the
+  schema and the analyzed app's (signature, method fingerprint) pairs,
+  which determine every SCC key.  :func:`vet_incremental` reads it to
+  skip replaying a baseline version the store already holds.
+
 The dirty-seeding property falls out of the keying: editing one method
 changes that SCC's key (recompute) and -- only if the edit changes the
 method's *summary content* -- the keys of its callers, transitively.
@@ -44,6 +52,7 @@ from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.fingerprint import (
+    app_store_key,
     method_fingerprint,
     scc_store_key,
     summary_fingerprint,
@@ -59,9 +68,16 @@ from repro.ir.app import AndroidApp
 STORE_SCHEMA = 1
 
 #: Modeled cost (in worklist node visits) of serving one method from
-#: the store instead of re-running its fixed point.  Loading facts is
-#: a JSON parse plus a fact-space rebuild -- far below one visit of
-#: transfer-function work, but charged conservatively as one.
+#: the store instead of re-running its fixed point.  It models a store
+#: whose restore is a copy of the method's stored fact rows, about as
+#: cheap as one node visit, and it feeds ``modeled_speedup`` and the
+#: >= 10x re-vet gate, so it stays 1.0.  This host implementation pays
+#: far more per hit: on the ``revet`` benchmark's seed-1 apps (2-vCPU
+#: Xeon), an all-hit pass takes 28-29x the wall time of one worklist
+#: visit of a cold pass (all costs of both passes included) per reused
+#: method; the store read alone (read, JSON decode, validate) is about
+#: 14 visits of worklist run time.  ``incremental.wall_speedup``
+#: reports the wall-clock result beside the modeled one.
 REUSED_METHOD_COST = 1.0
 
 
@@ -70,10 +86,11 @@ class MethodSummaryStore:
 
     One JSON file per SCC key under ``root`` (default: the bench
     cache's ``summaries/`` subdirectory, so ``REPRO_CACHE_DIR`` governs
-    both levels of the two-level cache).  Writes are atomic (temp file
-    + ``os.replace``); corrupt entries are deleted on load and counted
-    in :attr:`purged`, mirroring :class:`repro.bench.cache.
-    EvaluationCache`.
+    both levels of the two-level cache), plus one index entry per
+    analyzed app under ``root/apps`` listing its SCC keys.  Writes are
+    atomic (temp file + ``os.replace``); corrupt SCC entries are
+    deleted on load and counted in :attr:`purged`, mirroring
+    :class:`repro.bench.cache.EvaluationCache`.
     """
 
     def __init__(
@@ -93,6 +110,46 @@ class MethodSummaryStore:
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
+
+    def _index_path(self, app_key: str) -> Path:
+        return self.root / "apps" / f"{app_key}.json"
+
+    def indexed(self, app_key: str) -> bool:
+        """True when the app's index entry names only entries on disk.
+
+        A presence check: it reads the small index entry and stats the
+        SCC entry files, but decodes none of them.  A missing or
+        unreadable index, or one naming a deleted entry, reads False.
+        """
+        try:
+            keys = json.loads(self._index_path(app_key).read_text())["keys"]
+            return all(self._path(key).is_file() for key in keys)
+        except (OSError, ValueError, TypeError, KeyError):
+            return False
+
+    def store_index(self, app_key: str, keys: Sequence[str]) -> None:
+        """Persist one app's SCC key list atomically; non-fatal."""
+        if self.enabled:
+            self._write(self._index_path(app_key), {"keys": list(keys)})
+
+    def _write(self, path: Path, entry: Dict[str, Any]) -> bool:
+        """Write ``entry`` as JSON via a temp file + ``os.replace``."""
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            payload = json.dumps(entry, sort_keys=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=".tmp-", suffix=".json"
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(payload)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError:
+            return False
+        return True
 
     def load(
         self, key: str, members: Sequence[str]
@@ -152,22 +209,8 @@ class MethodSummaryStore:
                 for signature, result in results.items()
             },
         }
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(entry, sort_keys=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            return
-        self.stores += 1
+        if self._write(self._path(key), entry):
+            self.stores += 1
 
 
 @dataclass
@@ -187,6 +230,9 @@ class IncrementalStats:
     #: Modeled cost actually paid this run: visits executed plus
     #: :data:`REUSED_METHOD_COST` per reused method.
     visits_incremental: float = 0.0
+    #: Whether :func:`vet_incremental` re-analyzed the baseline version
+    #: because the store's index did not show it already stored.
+    baseline_replayed: bool = False
 
     @property
     def modeled_speedup(self) -> float:
@@ -202,7 +248,8 @@ class IncrementalStats:
             f"methods reused ({self.scc_hits} SCC hits, "
             f"{self.scc_misses} misses), modeled cost "
             f"{self.visits_incremental:.0f} vs {self.visits_cold:.0f} "
-            f"cold ({self.modeled_speedup:.1f}x)"
+            f"cold ({self.modeled_speedup:.1f}x); baseline replayed: "
+            f"{'yes' if self.baseline_replayed else 'no'}"
         )
 
 
@@ -233,6 +280,18 @@ class _IncrementalWorkload:
         self.idfg = idfg
 
 
+def _analyzed_app(app: AndroidApp) -> AndroidApp:
+    """``app`` as the analysis sees it: environments synthesized."""
+    return app_with_environments(app) if app.components else app
+
+
+def _method_fingerprints(app: AndroidApp) -> Dict[str, str]:
+    return {
+        signature: method_fingerprint(method)
+        for signature, method in app.method_table.items()
+    }
+
+
 def analyze_app_incremental(
     app: AndroidApp,
     store: MethodSummaryStore,
@@ -245,10 +304,12 @@ def analyze_app_incremental(
     out-of-SCC callee summary contents) matches a finished entry, and
     computed-and-persisted otherwise.  The returned IDFG is
     bit-identical to the cold reference by construction (asserted in
-    tests and the CI incremental-smoke gate).
+    tests and the CI incremental-smoke gate).  Once every SCC entry is
+    written, the app's index entry is written too.
     """
-    if with_environments and app.components:
-        app = app_with_environments(app)
+    if with_environments:
+        app = _analyzed_app(app)
+    fingerprints = _method_fingerprints(app)
     layering = SBDALayering(CallGraph(app))
     call_graph = layering.call_graph
 
@@ -269,10 +330,7 @@ def analyze_app_incremental(
         }
         key = scc_store_key(
             STORE_SCHEMA,
-            [
-                [signature, method_fingerprint(app.method_table[signature])]
-                for signature in scc
-            ],
+            [[signature, fingerprints[signature]] for signature in scc],
             [list(pair) for pair in callee_fps],
         )
         keys.append(key)
@@ -359,6 +417,7 @@ def analyze_app_incremental(
         stats.visits_cold += float(executed)
         stats.visits_incremental += float(executed)
 
+    store.store_index(app_store_key(STORE_SCHEMA, fingerprints), keys)
     idfg = IDFG(method_facts=method_facts, summaries=summaries)
     return IncrementalResult(
         analyzed_app=app, idfg=idfg, stats=stats, keys=tuple(keys)
@@ -374,18 +433,40 @@ def vet_incremental(
 ):
     """Vet ``app`` reusing everything its baseline version already paid for.
 
-    The baseline (version N of the app, or None to rely on whatever the
-    store already holds) is analyzed first so its SCC results are
-    guaranteed present; the new version then hits the store for every
-    SCC the version bump left untouched.  Returns ``(report, stats)``
-    where ``stats`` accounts the *new* app's run only -- the number the
-    ">= 10x cheaper re-vet" gates measure.
+    The baseline is version N of the app, or None to rely on whatever
+    the store already holds.  Its SCC results must be in the store
+    before the new version runs, so that the new version hits the store
+    for every SCC the version bump left untouched.  The store's index
+    (``apps/<app key>.json``, written by every
+    :func:`analyze_app_incremental` pass) says whether they are: the
+    baseline is replayed -- analyzed in full, every stored SCC read and
+    decoded -- only when its index entry is missing, cannot be read,
+    or names an SCC entry file that is not on disk.  A disabled store
+    never replays, since it can neither store nor serve an entry.
+
+    Skipping the replay cannot change a result.  Keys are content
+    addresses, so an entry holds the fixed point of exactly the method
+    bodies and callee summaries it is keyed by, and the new pass still
+    loads and validates every entry it uses; an entry that vanished or
+    went corrupt after the check is a miss, and a miss recomputes.
+
+    Returns ``(report, stats)`` where ``stats`` accounts the *new*
+    app's run only -- the number the ">= 10x cheaper re-vet" gates
+    measure -- plus whether the baseline was replayed.
     """
     from repro.vetting.report import vet_workload
 
-    if baseline_app is not None:
-        analyze_app_incremental(baseline_app, store)
+    replayed = False
+    if baseline_app is not None and store.enabled:
+        baseline_app = _analyzed_app(baseline_app)
+        key = app_store_key(STORE_SCHEMA, _method_fingerprints(baseline_app))
+        if not store.indexed(key):
+            analyze_app_incremental(
+                baseline_app, store, with_environments=False
+            )
+            replayed = True
     result = analyze_app_incremental(app, store)
+    result.stats.baseline_replayed = replayed
     workload = _IncrementalWorkload(
         analyzed_app=result.analyzed_app, idfg=result.idfg
     )

@@ -968,6 +968,10 @@ class VettingService:
                 "serve.incremental.reused_methods",
                 incremental.get("methods_reused", 0),
             )
+            self._count(
+                "serve.incremental.baseline_replays",
+                int(incremental.get("baseline_replayed", False)),
+            )
         if not worker.healthy:
             self._count(f"serve.fallback.{worker.engine}")
         self._finish(job, JobState.DONE)

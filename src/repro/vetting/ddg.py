@@ -10,12 +10,15 @@ depends on every statement whose born instance that slot may hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.dataflow.idfg import IDFG, MethodFacts
 from repro.ir.app import AndroidApp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.vetting.taint import TaintFlow
 
 
 @dataclass(frozen=True)
@@ -92,3 +95,31 @@ def build_ddg(app: AndroidApp, idfg: IDFG) -> Dict[str, DataDependenceGraph]:
         for signature, facts in idfg.method_facts.items()
         if signature in app.method_table
     }
+
+
+def flow_witnesses(
+    app: AndroidApp, idfg: IDFG, flows: Iterable["TaintFlow"]
+) -> Dict[str, Tuple[str, ...]]:
+    """Dependence-chain witness per flow, keyed by sink label.
+
+    The witness is the shortest chain into the sink from the first
+    definition, in label order, that reaches it in more than one step.
+    Only methods that carry a flow get a DDG -- the ones a report
+    reads.  ``flows`` come from a :class:`repro.vetting.taint.
+    TaintAnalysis` of the same ``app`` and ``idfg``, so each one's
+    method is analyzed.
+    """
+    ddgs: Dict[str, DataDependenceGraph] = {}
+    witnesses: Dict[str, Tuple[str, ...]] = {}
+    for flow in flows:
+        ddg = ddgs.get(flow.method)
+        if ddg is None:
+            ddg = ddgs[flow.method] = build_method_ddg(
+                app, flow.method, idfg.method_facts[flow.method]
+            )
+        for dependency in ddg.dependencies_of(flow.sink_label):
+            path = ddg.witness_path(dependency, flow.sink_label)
+            if path and len(path) > 1:
+                witnesses[flow.sink_label] = tuple(path)
+                break
+    return witnesses

@@ -10,12 +10,12 @@ the throughput benchmark drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.config import GDroidConfig
 from repro.core.engine import AppWorkload, GDroid
 from repro.ir.app import AndroidApp
-from repro.vetting.ddg import DataDependenceGraph, build_ddg
+from repro.vetting.ddg import flow_witnesses
 from repro.vetting.icc import IccAnalysis, IccFlow, LinkedIccFlow
 from repro.vetting.sources_sinks import (
     DEFAULT_REGISTRY,
@@ -163,19 +163,7 @@ def _vet_workload(
     linked_flows: Tuple[LinkedIccFlow, ...] = ()
     if resolve_icc:
         linked_flows = tuple(icc.stitch(icc_flow_list))
-    ddgs = build_ddg(workload.analyzed_app, workload.idfg)
-
-    witnesses: Dict[str, Tuple[str, ...]] = {}
-    for flow in flows:
-        ddg = ddgs.get(flow.method)
-        if ddg is None:
-            continue
-        for dependency in ddg.dependencies_of(flow.sink_label):
-            path = ddg.witness_path(dependency, flow.sink_label)
-            if path and len(path) > 1:
-                witnesses[flow.sink_label] = tuple(path)
-                break
-
+    witnesses = flow_witnesses(workload.analyzed_app, workload.idfg, flows)
     score, verdict = _grade(flows, icc_flows, linked_flows)
     category_permissions = registry.category_permissions(KIND_SOURCE)
     permissions = tuple(

@@ -148,8 +148,8 @@ class TaintAnalysis:
         self.returns_tainted: Dict[str, Provenance] = {}
         #: method -> param index -> provenance (calls-down channel).
         self.param_taint: Dict[str, Dict[int, Provenance]] = {}
-        #: Node whose fact set _slot_instances reads (set per query).
-        self._current_node = 0
+        #: (method, node) -> slot -> instance ids; built once per node.
+        self._slot_index: Dict[Tuple[str, int], Dict[int, Set[int]]] = {}
         self._sites: Dict[str, List[_CallSite]] = {
             signature: _call_sites(app, signature)
             for signature in idfg.method_facts
@@ -159,14 +159,25 @@ class TaintAnalysis:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _slot_instances(self, facts, slot: int) -> Set[int]:
+    def _node_slots(self, signature: str, node: int) -> Dict[int, Set[int]]:
+        """Instances per slot at ``node`` (indexed on first query)."""
+        key = (signature, node)
+        slots = self._slot_index.get(key)
+        if slots is None:
+            slots = self._slot_index[key] = self._slot_instances(
+                signature, node
+            )
+        return slots
+
+    def _slot_instances(self, signature: str, node: int) -> Dict[int, Set[int]]:
+        """One scan of ``node``'s fact set, grouped by slot."""
+        facts = self.idfg.method_facts[signature]
         count = facts.space.instance_count
-        base = slot * count
-        return {
-            fact - base
-            for fact in facts.node_facts[self._current_node]
-            if base <= fact < base + count
-        }
+        slots: Dict[int, Set[int]] = {}
+        for fact in facts.node_facts[node]:
+            slot, instance = divmod(fact, count)
+            slots.setdefault(slot, set()).add(instance)
+        return slots
 
     def _pts_provenance(
         self,
@@ -190,10 +201,10 @@ class TaintAnalysis:
         if slot is None:
             return frozenset()
         taint = self.tainted.get(signature, {})
-        self._current_node = node
+        slots = self._node_slots(signature, node)
 
         out: Set[str] = set()
-        frontier = self._slot_instances(facts, slot)
+        frontier = set(slots.get(slot, ()))
         seen: Set[int] = set()
         while frontier:
             instance = frontier.pop()
@@ -207,8 +218,8 @@ class TaintAnalysis:
                 continue
             for field in space.fields:
                 heap = space.heap_slot(instance, field)
-                if heap is not None:
-                    frontier |= self._slot_instances(facts, heap) - seen
+                if heap is not None and heap in slots:
+                    frontier |= slots[heap] - seen
         return frozenset(out)
 
     @staticmethod

@@ -525,7 +525,7 @@ def vet_targeted_report(
     are out of scope for targeted runs, so the report never contains
     them.  A skipped workload yields a clean empty report.
     """
-    from repro.vetting.ddg import build_ddg
+    from repro.vetting.ddg import flow_witnesses
     from repro.vetting.report import VettingReport, _grade
     from repro.vetting.sources_sinks import (
         DEFAULT_REGISTRY,
@@ -556,17 +556,9 @@ def vet_targeted_report(
             for flow in analysis.run()
             if flow.sink_api in targeted.spec
         )
-        ddgs = build_ddg(workload.analyzed_app, workload.idfg)
-        witnesses: Dict[str, Tuple[str, ...]] = {}
-        for flow in flows:
-            ddg = ddgs.get(flow.method)
-            if ddg is None:
-                continue
-            for dependency in ddg.dependencies_of(flow.sink_label):
-                path = ddg.witness_path(dependency, flow.sink_label)
-                if path and len(path) > 1:
-                    witnesses[flow.sink_label] = tuple(path)
-                    break
+        witnesses = flow_witnesses(
+            workload.analyzed_app, workload.idfg, flows
+        )
         score, verdict = _grade(flows)
         category_permissions = registry.category_permissions(KIND_SOURCE)
         permissions = tuple(

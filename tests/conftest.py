@@ -91,3 +91,41 @@ def small_generator():
 def tiny_app(seed: int):
     """Module-level helper for parametrized/property tests."""
     return AppGenerator(TINY_PROFILE).generate(seed)
+
+
+def every_method_witnesses(app, idfg, flows):
+    """Reference witnesses from every analyzed method's DDG.
+
+    :func:`repro.vetting.ddg.flow_witnesses` builds DDGs only for
+    flow-carrying methods and must return exactly these.
+    """
+    from repro.vetting.ddg import build_ddg
+
+    ddgs = build_ddg(app, idfg)
+    witnesses = {}
+    for flow in flows:
+        ddg = ddgs.get(flow.method)
+        if ddg is None:
+            continue
+        for dependency in ddg.dependencies_of(flow.sink_label):
+            path = ddg.witness_path(dependency, flow.sink_label)
+            if path and len(path) > 1:
+                witnesses[flow.sink_label] = tuple(path)
+                break
+    return witnesses
+
+
+@pytest.fixture
+def ddg_builds(monkeypatch):
+    """Record the method of every DDG built while the test runs."""
+    from repro.vetting import ddg
+
+    built = []
+    original = ddg.build_method_ddg
+
+    def counting(app, signature, facts):
+        built.append(signature)
+        return original(app, signature, facts)
+
+    monkeypatch.setattr(ddg, "build_method_ddg", counting)
+    return built

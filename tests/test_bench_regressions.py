@@ -305,6 +305,22 @@ class TestStaleTmpSweep:
         assert fresh.exists(), "a live writer's temp file must survive"
         assert row.exists(), "only .tmp-* files are sweep candidates"
 
+    def test_summary_store_levels_swept(self, tmp_path):
+        # The summary store writes its temp files under summaries/ and
+        # its app index under summaries/apps/: open sweeps both.
+        apps = tmp_path / "summaries" / "apps"
+        apps.mkdir(parents=True)
+        entry = self._orphan(
+            tmp_path / "summaries", ".tmp-entry.json", age_s=7200.0
+        )
+        index = self._orphan(apps, ".tmp-index.json", age_s=7200.0)
+        fresh = self._orphan(apps, ".tmp-live.json", age_s=1.0)
+        stored = self._orphan(apps, "an-index.json", age_s=9000.0)
+        cache = EvaluationCache(root=tmp_path)
+        assert cache.tmp_purged == 2
+        assert not entry.exists() and not index.exists()
+        assert fresh.exists() and stored.exists()
+
     def test_disabled_cache_never_touches_disk(self, tmp_path):
         orphan = self._orphan(tmp_path, ".tmp-dead.json", age_s=7200.0)
         cache = EvaluationCache(root=tmp_path, enabled=False)

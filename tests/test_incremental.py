@@ -9,7 +9,10 @@ accounting on top of that invariant.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+
+import pytest
 
 from repro import obs
 from repro.apk.corpus import AppCorpus
@@ -320,3 +323,150 @@ class TestServeBaseline:
         assert report.counters["serve.incremental.hits"] > 0
         for job in report.jobs:
             assert isinstance(job.row, IncrementalVetRow)
+
+
+# -- the baseline index --------------------------------------------------------
+
+
+def _bump(seed: int = 21):
+    old = _app()
+    new, _ = mutate_app(old, seed=seed, count=2)
+    return old, new
+
+
+def _seeded(root, old):
+    """Seed a store at ``root`` with ``old``; return its index entry."""
+    analyze_app_incremental(old, MethodSummaryStore(root=root))
+    (index,) = (root / "apps").glob("*.json")
+    return index
+
+
+def _same_report(report, other):
+    for attribute in (
+        "flows", "icc_flows", "linked_flows", "risk_score", "verdict",
+        "witnesses", "findings",
+    ):
+        assert getattr(report, attribute) == getattr(other, attribute)
+
+
+class TestBaselineIndex:
+    def test_index_lists_the_pass_keys(self, tmp_path):
+        root = tmp_path / "s"
+        result = analyze_app_incremental(_app(), MethodSummaryStore(root=root))
+        (index,) = (root / "apps").glob("*.json")
+        assert json.loads(index.read_text())["keys"] == list(result.keys)
+
+    def test_indexed_baseline_decodes_no_baseline_entry(self, tmp_path):
+        old, new = _bump()
+        _seeded(tmp_path / "a", old)
+        store = MethodSummaryStore(root=tmp_path / "a")
+        report, stats = vet_incremental(new, old, store)
+        assert not stats.baseline_replayed
+        assert store.hits == stats.scc_hits
+        assert "baseline replayed: no" in stats.summary()
+
+        # A forced replay: the same store without its index.
+        index = _seeded(tmp_path / "b", old)
+        index.unlink()
+        forced = MethodSummaryStore(root=tmp_path / "b")
+        forced_report, forced_stats = vet_incremental(new, old, forced)
+        assert forced_stats.baseline_replayed
+        assert forced.hits > forced_stats.scc_hits
+        assert "baseline replayed: yes" in forced_stats.summary()
+        _same_report(report, forced_report)
+        assert stats == dataclasses.replace(
+            forced_stats, baseline_replayed=False
+        )
+
+    @pytest.mark.parametrize("damage", ["missing", "garbage", "deleted"])
+    def test_damaged_index_replays(self, tmp_path, damage):
+        old, new = _bump()
+        # Today's path: analyze the baseline, then the new version.
+        reference_store = MethodSummaryStore(root=tmp_path / "ref")
+        analyze_app_incremental(old, reference_store)
+        reference = analyze_app_incremental(new, reference_store).stats
+
+        index = _seeded(tmp_path / "s", old)
+        if damage == "missing":
+            index.unlink()
+        elif damage == "garbage":
+            index.write_text("{not json")
+        else:
+            key = json.loads(index.read_text())["keys"][0]
+            (tmp_path / "s" / f"{key}.json").unlink()
+        store = MethodSummaryStore(root=tmp_path / "s")
+        report, stats = vet_incremental(new, old, store)
+        assert stats.baseline_replayed
+        assert stats == dataclasses.replace(
+            reference, baseline_replayed=True
+        )
+        _same_report(report, vet_app(new))
+
+    def test_corrupt_entry_under_intact_index_recomputes(self, tmp_path):
+        old, new = _bump()
+        index = _seeded(tmp_path / "s", old)
+        new_keys = analyze_app_incremental(
+            new, MethodSummaryStore(enabled=False)
+        ).keys
+        shared = [
+            key for key in json.loads(index.read_text())["keys"]
+            if key in new_keys
+        ]
+        assert shared
+        (tmp_path / "s" / f"{shared[0]}.json").write_text("{not json")
+        store = MethodSummaryStore(root=tmp_path / "s")
+        report, stats = vet_incremental(new, old, store)
+        assert not stats.baseline_replayed
+        assert store.purged == 1
+        assert stats.scc_misses > 0 and stats.methods_reused > 0
+        _same_report(report, vet_app(new))
+
+    def test_disabled_store_never_replays(self, tmp_path, monkeypatch):
+        from repro.dataflow import incremental
+
+        calls = []
+        original = incremental.analyze_app_incremental
+
+        def counting(app, *args, **kwargs):
+            calls.append(app.package)
+            return original(app, *args, **kwargs)
+
+        monkeypatch.setattr(incremental, "analyze_app_incremental", counting)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        corpus = AppCorpus(size=3, base_seed=710700, profile=PROFILE)
+        rows = evaluate_corpus(corpus, no_cache=True, baseline=corpus)
+        assert len(calls) == corpus.size
+        assert not any(tmp_path.iterdir())
+        for index, row in enumerate(rows):
+            app = corpus.app(index)
+            cold_pass = original(app, MethodSummaryStore(enabled=False))
+            cold = vet_app(app)
+            assert row == IncrementalVetRow(
+                package=app.package,
+                category=app.category,
+                index=index,
+                methods_total=cold_pass.stats.methods_total,
+                methods_reused=0,
+                methods_recomputed=cold_pass.stats.methods_total,
+                visits_cold=cold_pass.stats.visits_cold,
+                visits_incremental=cold_pass.stats.visits_incremental,
+                modeled_speedup=1.0,
+                verdict=cold.verdict,
+                risk_score=cold.risk_score,
+                flow_count=len(cold.flows),
+                finding_count=0,
+            )
+
+
+class TestServeBaselineReplays:
+    @pytest.mark.parametrize("pool", ["async", "process"])
+    def test_second_soak_replays_nothing(self, tmp_path, monkeypatch, pool):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        corpus = AppCorpus(size=3, base_seed=710800, profile=PROFILE)
+        config = ServeConfig(workers=2, pool=pool)
+        for replays in (3, 0):
+            report = run_soak(corpus, config=config, baseline="corpus")
+            assert report.ok and report.failed == 0
+            counters = report.counters
+            assert counters["serve.incremental.baseline_replays"] == replays
+            assert counters["serve.incremental.hits"] > 0

@@ -19,6 +19,8 @@ from repro.apk.dex import pack_app
 from repro.apk.loader import save_gdx
 from repro.core.engine import AppWorkload
 from repro.ir.parser import parse_app
+from repro.rules.engine import build_findings
+from repro.rules.pack import load_pack
 from repro.vetting.sources_sinks import (
     DEFAULT_REGISTRY,
     KIND_ICC_SEND,
@@ -41,8 +43,13 @@ from repro.vetting.targeted import (
     slice_estimate,
     taint_relevant_methods,
     vet_targeted,
+    vet_targeted_report,
 )
-from tests.conftest import LEAKY_APP_SOURCE, TINY_PROFILE
+from tests.conftest import (
+    LEAKY_APP_SOURCE,
+    TINY_PROFILE,
+    every_method_witnesses,
+)
 
 SRC = "android.telephony.TelephonyManager.getDeviceId()Ljava/lang/String;"
 SNK = "android.telephony.SmsManager.sendTextMessage(Ljava/lang/String;Ljava/lang/String;)V"
@@ -549,3 +556,47 @@ class TestTargetedCLI:
         targeted = [j for j in payload["jobs"] if j["targets"]]
         assert len(targeted) == 3
         assert all(j["state"] == "done" for j in payload["jobs"])
+
+
+class TestTargetedWitnesses:
+    """The targeted report's witnesses come from the flow-only helper
+    and equal those every method's DDG gives."""
+
+    def _check(self, app, spec, pack, ddg_builds):
+        targeted = build_targeted_workload(app, spec)
+        del ddg_builds[:]
+        report = vet_targeted_report(targeted, rules=pack)
+        if targeted.workload is None:
+            assert report.witnesses == {} and ddg_builds == []
+            return 0
+        workload = targeted.workload
+        assert set(ddg_builds) == {flow.method for flow in report.flows}
+        expected = every_method_witnesses(
+            workload.analyzed_app, workload.idfg, report.flows
+        )
+        assert report.witnesses == expected
+        assert report.findings == build_findings(
+            pack,
+            workload.analyzed_app,
+            flows=report.flows,
+            icc_flows=(),
+            witnesses=expected,
+            sanitizer_kills=report.sanitizer_kills,
+            package=targeted.stats.package,
+        )
+        return len(expected)
+
+    def test_leaky_app_sms(self, leaky_app, ddg_builds):
+        pack = load_pack("exfiltration")
+        spec = TargetSpec.parse("SMS")
+        assert self._check(leaky_app, spec, pack, ddg_builds) == 1
+
+    def test_corpus_all_sinks(self, ddg_builds):
+        pack = load_pack("exfiltration")
+        spec = TargetSpec.all_sinks()
+        corpus = AppCorpus(size=6, profile=TINY_PROFILE)
+        witnessed = sum(
+            self._check(corpus.app(index), spec, pack, ddg_builds)
+            for index in range(corpus.size)
+        )
+        assert witnessed > 0

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.engine import AppWorkload
 from repro.ir.parser import parse_app
-from repro.vetting.ddg import build_ddg
+from repro.rules.engine import build_findings
+from repro.rules.pack import load_pack, shipped_packs
+from repro.rules.scenarios import scenario_corpus
+from repro.vetting.ddg import build_ddg, flow_witnesses
 from repro.vetting.icc import IccFlow
 from repro.vetting.report import _grade, vet_app, vet_workload
 from repro.vetting.sources_sinks import (
@@ -17,6 +20,7 @@ from repro.vetting.sources_sinks import (
     is_source,
 )
 from repro.vetting.taint import TaintAnalysis
+from tests.conftest import every_method_witnesses
 
 SRC = "android.telephony.TelephonyManager.getDeviceId()Ljava/lang/String;"
 SNK = "android.telephony.SmsManager.sendTextMessage(Ljava/lang/String;Ljava/lang/String;)V"
@@ -253,3 +257,53 @@ class TestReport:
         assert report.verdict == "clean"
         assert report.risk_score == 0
         assert not report.is_suspicious
+
+
+class TestFlowWitnesses:
+    """Witnesses come from flow-carrying methods' DDGs only, and equal
+    the ones every method's DDG gives."""
+
+    @pytest.mark.parametrize("pack_name", shipped_packs())
+    def test_scenario_corpus_matches_every_method_ddg(
+        self, pack_name, ddg_builds
+    ):
+        pack = load_pack(pack_name)
+        witnessed = 0
+        for scenario in scenario_corpus(pack, count=3):
+            workload = AppWorkload.build(scenario.app, record_mer=False)
+            del ddg_builds[:]
+            report = vet_workload(
+                scenario.app, workload, rules=pack,
+                manifest=scenario.manifest,
+            )
+            assert set(ddg_builds) == {flow.method for flow in report.flows}
+            assert len(ddg_builds) == len(set(ddg_builds))
+            expected = every_method_witnesses(
+                workload.analyzed_app, workload.idfg, report.flows
+            )
+            assert report.witnesses == expected, scenario.name
+            assert report.findings == build_findings(
+                pack,
+                scenario.app,
+                flows=report.flows,
+                icc_flows=report.icc_flows,
+                linked_flows=report.linked_flows,
+                witnesses=expected,
+                sanitizer_kills=report.sanitizer_kills,
+                manifest=scenario.manifest,
+            ), scenario.name
+            witnessed += len(expected)
+        if not pack.scenarios_via_icc:
+            # ICC scenarios leak through Intents, never at a sink call.
+            assert witnessed > 0
+
+    def test_leaky_app(self, leaky_app):
+        workload = AppWorkload.build(leaky_app, record_mer=False)
+        flows = TaintAnalysis(workload.analyzed_app, workload.idfg).run()
+        witnesses = flow_witnesses(
+            workload.analyzed_app, workload.idfg, flows
+        )
+        assert witnesses == every_method_witnesses(
+            workload.analyzed_app, workload.idfg, flows
+        )
+        assert witnesses["L4"][0] == "L0"
