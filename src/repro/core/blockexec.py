@@ -22,12 +22,30 @@ oracle.
 Recursive SCC blocks iterate whole rounds until their joint summaries
 stabilize; the recorded trace is the final round's, and
 ``summary_rounds`` tells the cost adapters how many rounds to charge.
+
+Facts stay int masks (:mod:`repro.dataflow.bitset`) from the dynamics
+to the end of the block: the two fixed points are compared as masks,
+exit facts come from ``MaskTransfer.out_mask``, and each distinct mask
+becomes a frozenset once, when the :class:`MethodFacts` are built.
+Within a summary round a transfer is a pure function of (node, IN
+mask), so the sync and MER runs share one memo of the transfers that
+walk points-to sets (:class:`_RoundTransfers`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cfg.intra import IntraCFG, build_intra_cfg
 from repro.core.blocks import BlockAssignment
@@ -37,11 +55,11 @@ from repro.core.grouping import (
     grouped_storage_order,
 )
 from repro.core.trace import BlockTrace, IterationRecord, NodeMeta, VisitRecord
-from repro.dataflow.bitset import mask_to_set
+from repro.dataflow.bitset import bit_indices, mask_from, mask_to_frozenset
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
-from repro.dataflow.transfer import MaskTransfer, TransferFunctions
+from repro.dataflow.transfer import MaskTransfer, NodePlan, TransferFunctions
 from repro.ir.app import AndroidApp
 from repro.perf import host_perf_enabled
 
@@ -105,8 +123,73 @@ class _MethodState:
         return self._masked
 
 
+def _walks_points_to(plan: NodePlan) -> bool:
+    """True for a call, a heap store, or a read through a field."""
+    return plan.op in ("call", "store_heap") or bool(
+        plan.value is not None and plan.value.derefs
+    )
+
+
+class _RoundTransfers:
+    """One summary round's per-node transfers, shared by both runs.
+
+    Built with the round's method states, whose callee summaries stay
+    fixed until the next round rebuilds them, so within the round OUT
+    is a pure function of (node, IN mask).  MER runs on the final
+    round's states and reuses what the sync run evaluated.  Only the
+    plans that walk points-to sets are memoized: a cheap assign costs
+    less to recompute than its IN mask costs to hash.  The table is
+    dropped with the round.
+    """
+
+    __slots__ = ("local", "evaluate", "memo", "evals", "hits")
+
+    def __init__(self, states: Sequence[_MethodState]) -> None:
+        self.local: List[int] = []
+        #: Per node: its method's ``MaskTransfer.out_mask``, or None for
+        #: an identity node, which forwards IN without a call.
+        self.evaluate: List[Optional[Callable[[int, int], int]]] = []
+        #: Per node: IN mask -> OUT mask, or None when not memoized.
+        self.memo: List[Optional[Dict[int, int]]] = []
+        for state in states:
+            masked = state.masked
+            for local, plan in enumerate(state.transfer.plans):
+                self.local.append(local)
+                if masked.is_identity(local):
+                    self.evaluate.append(None)
+                    self.memo.append(None)
+                else:
+                    self.evaluate.append(masked.out_mask)
+                    self.memo.append({} if _walks_points_to(plan) else None)
+        #: ``out_mask`` calls made, and calls the memo answered.
+        self.evals = 0
+        self.hits = 0
+
+    def out_mask(self, node: int, in_mask: int) -> int:
+        """OUT of block node ``node`` for ``in_mask``."""
+        evaluate = self.evaluate[node]
+        if evaluate is None:
+            return in_mask
+        memo = self.memo[node]
+        if memo is not None:
+            out = memo.get(in_mask)
+            if out is not None:
+                self.hits += 1
+                return out
+        out = evaluate(self.local[node], in_mask)
+        self.evals += 1
+        if memo is not None:
+            memo[in_mask] = out
+        return out
+
+
 class BlockRunner:
-    """Run one thread block to its fixed point."""
+    """Run one thread block to its fixed point.
+
+    After :meth:`run`, ``transfer_evals`` and ``transfer_memo_hits``
+    hold how many ``MaskTransfer.out_mask`` calls the run made and how
+    many the round memo answered instead.
+    """
 
     def __init__(
         self,
@@ -122,6 +205,8 @@ class BlockRunner:
         self.record_mer = record_mer
         self.sort_mer_worklist = sort_mer_worklist
         self._is_scc = self._detect_scc()
+        self.transfer_evals = 0
+        self.transfer_memo_hits = 0
 
     def _detect_scc(self) -> bool:
         members = set(self.assignment.methods)
@@ -191,8 +276,9 @@ class BlockRunner:
         states: Sequence[_MethodState],
         merging: bool,
         trace: BlockTrace,
-    ) -> List[Set[int]]:
-        """Execute one fixed-point run; returns per-block-node fact sets.
+        transfers: _RoundTransfers,
+    ) -> List[int]:
+        """Execute one fixed-point run; returns per-block-node fact masks.
 
         Dispatches between the packed-bitset implementation (facts as
         int masks, whole GEN/KILL batches per mask op) and the seed's
@@ -200,7 +286,7 @@ class BlockRunner:
         and land on identical fixed points.
         """
         if host_perf_enabled():
-            return self._run_dynamics_masked(states, merging, trace)
+            return self._run_dynamics_masked(states, merging, trace, transfers)
         return self._run_dynamics_sets(states, merging, trace)
 
     def _run_dynamics_masked(
@@ -208,7 +294,8 @@ class BlockRunner:
         states: Sequence[_MethodState],
         merging: bool,
         trace: BlockTrace,
-    ) -> List[Set[int]]:
+        transfers: _RoundTransfers,
+    ) -> List[int]:
         """Packed-bitset dynamics: one int mask per block node.
 
         Mirrors :meth:`_run_dynamics_sets` op for op -- including the
@@ -216,19 +303,17 @@ class BlockRunner:
         -- so the emitted trace is byte-identical.  The per-successor
         union of a whole out-set becomes two int ops (``& ~`` and
         ``|``) instead of a per-fact set update: the warp's GEN/KILL
-        lanes are applied as one batch.
+        lanes are applied as one batch.  Transfers go through the
+        round's shared memo (see :class:`_RoundTransfers`).
         """
-        node_count = sum(len(s.method.statements) for s in states)
+        out_mask = transfers.out_mask
+        identity = [evaluate is None for evaluate in transfers.evaluate]
+        meta = trace.node_meta
+        successors_of = [m.successors for m in meta]
+        node_count = len(meta)
         facts: List[int] = [0] * node_count
         visited = [False] * node_count
         scheduled: Set[int] = set()
-
-        state_of: List[_MethodState] = []
-        local_of: List[int] = []
-        for state in states:
-            for local in range(len(state.method.statements)):
-                state_of.append(state)
-                local_of.append(local)
 
         worklist: List[int] = []
         for state in states:
@@ -238,7 +323,6 @@ class BlockRunner:
                 worklist.append(entry)
                 scheduled.add(entry)
 
-        meta = trace.node_meta
         sort_key = (lambda n: meta[n].group) if (merging and self.sort_mer_worklist) else None
 
         while worklist:
@@ -255,18 +339,12 @@ class BlockRunner:
             dest_seen: Set[int] = set(tail) if merging else set()
             iter_new: Dict[int, int] = {}
             iter_inserts: Dict[int, int] = {}
-            nondup_inserts = 0
-            dup_inserts = 0
 
             for node in head:
                 scheduled.discard(node)
-                state = state_of[node]
-                local = local_of[node]
-                masked = state.masked
-                out = masked.out_mask(local, facts[node])
-                identity = masked.is_identity(local)
+                out = out_mask(node, facts[node])
                 new_counts: List[int] = []
-                for succ in meta[node].successors:
+                for succ in successors_of[node]:
                     succ_mask = facts[succ]
                     added_bits = out & ~succ_mask
                     added = added_bits.bit_count()
@@ -292,23 +370,15 @@ class BlockRunner:
                                 destinations.append(succ)
                                 scheduled.add(succ)
                                 iter_inserts[succ] = iter_inserts.get(succ, 0) + 1
-                                if concurrent_dup:
-                                    dup_inserts += 1
-                                else:
-                                    nondup_inserts += 1
                 # The set implementation records len() of the *live*
                 # IN set (and, for identity nodes, the live OUT alias)
                 # after the successor unions: a self-looping node sees
                 # its own growth.  Re-read the masks accordingly.
                 in_size = facts[node].bit_count()
-                out_size = in_size if identity else out.bit_count()
+                out_size = in_size if identity[node] else out.bit_count()
                 visits.append(
                     VisitRecord(
-                        node=node,
-                        in_size=in_size,
-                        out_size=out_size,
-                        new_facts=tuple(new_counts),
-                        first_visit=not visited[node],
+                        node, in_size, out_size, tuple(new_counts), not visited[node]
                     )
                 )
                 visited[node] = True
@@ -325,15 +395,18 @@ class BlockRunner:
                 worklist = destinations + tail
             else:
                 worklist = destinations
-        return [mask_to_set(mask) for mask in facts]
+        return facts
 
     def _run_dynamics_sets(
         self,
         states: Sequence[_MethodState],
         merging: bool,
         trace: BlockTrace,
-    ) -> List[Set[int]]:
-        """The seed's per-element set dynamics (baseline / oracle)."""
+    ) -> List[int]:
+        """The seed's per-element set dynamics (baseline / oracle).
+
+        Returns its fixed point as int masks, converted once at the end.
+        """
         node_count = sum(len(s.method.statements) for s in states)
         facts: List[Set[int]] = [set() for _ in range(node_count)]
         visited = [False] * node_count
@@ -457,7 +530,7 @@ class BlockRunner:
                 worklist = destinations + tail
             else:
                 worklist = destinations
-        return facts
+        return [mask_from(node_facts) for node_facts in facts]
 
     # -- public API --------------------------------------------------------------------
 
@@ -476,6 +549,8 @@ class BlockRunner:
         obs.count("block.runs", 1)
         obs.count("block.iterations", result.trace_sync.iteration_count)
         obs.count("block.visits", result.trace_sync.visit_count)
+        obs.count("block.transfer_evals", self.transfer_evals)
+        obs.count("block.transfer_memo_hits", self.transfer_memo_hits)
         return result
 
     def _run(self) -> BlockResult:
@@ -484,39 +559,34 @@ class BlockRunner:
             for signature in self.assignment.methods:
                 summaries.setdefault(signature, MethodSummary(signature=signature))
 
+        evals = hits = 0
         rounds = 0
         while True:
             rounds += 1
             states = self._build_states(summaries)
             meta = self._node_meta(states)
+            transfers = _RoundTransfers(states)
             trace_sync = BlockTrace(
                 block_id=self.assignment.block_id,
                 layer=self.assignment.layer,
                 methods=self.assignment.methods,
                 node_meta=meta,
             )
-            facts = self._run_dynamics(states, merging=False, trace=trace_sync)
+            facts = self._run_dynamics(
+                states, merging=False, trace=trace_sync, transfers=transfers
+            )
 
             new_summaries: Dict[str, MethodSummary] = {}
-            method_facts: Dict[str, MethodFacts] = {}
+            exit_masks: Dict[str, int] = {}
             for state in states:
-                count = len(state.method.statements)
-                node_facts = tuple(
-                    frozenset(facts[state.offset + local]) for local in range(count)
-                )
-                exit_out: Set[int] = set()
+                exit_mask = 0
                 for exit_local in state.cfg.exits:
-                    exit_out |= state.transfer.out_facts(
-                        exit_local, facts[state.offset + exit_local]
-                    )
-                method_facts[state.signature] = MethodFacts(
-                    space=state.space,
-                    node_facts=node_facts,
-                    exit_facts=frozenset(exit_out),
-                )
+                    node = state.offset + exit_local
+                    exit_mask |= transfers.out_mask(node, facts[node])
+                exit_masks[state.signature] = exit_mask
                 new_summaries[state.signature] = SummaryBuilder(
                     state.space
-                ).build(exit_out)
+                ).build(bit_indices(exit_mask))
 
             if not self._is_scc:
                 break
@@ -527,6 +597,8 @@ class BlockRunner:
             summaries.update(new_summaries)
             if stable:
                 break
+            evals += transfers.evals
+            hits += transfers.hits
         trace_sync.summary_rounds = rounds
 
         trace_mer: Optional[BlockTrace] = None
@@ -537,12 +609,37 @@ class BlockRunner:
                 methods=self.assignment.methods,
                 node_meta=meta,
             )
-            mer_facts = self._run_dynamics(states, merging=True, trace=trace_mer)
+            mer_facts = self._run_dynamics(
+                states, merging=True, trace=trace_mer, transfers=transfers
+            )
             trace_mer.summary_rounds = rounds
-            # Both dynamics must land on the same fixed point.
-            assert mer_facts == facts, (
-                f"block {self.assignment.block_id}: MER dynamics diverged "
-                "from the synchronous fixed point"
+            # Both dynamics must land on the same fixed point, or the
+            # MER trace would be priced as an analysis it is not.
+            if mer_facts != facts:
+                raise RuntimeError(
+                    f"block {self.assignment.block_id}: MER dynamics diverged "
+                    "from the synchronous fixed point"
+                )
+        self.transfer_evals = evals + transfers.evals
+        self.transfer_memo_hits = hits + transfers.hits
+
+        # Nodes often share an IN mask: convert each distinct one once.
+        frozen: Dict[int, FrozenSet[int]] = {}
+
+        def as_set(mask: int) -> FrozenSet[int]:
+            facts_set = frozen.get(mask)
+            if facts_set is None:
+                facts_set = frozen[mask] = mask_to_frozenset(mask)
+            return facts_set
+
+        method_facts: Dict[str, MethodFacts] = {}
+        for state in states:
+            start = state.offset
+            stop = start + len(state.method.statements)
+            method_facts[state.signature] = MethodFacts(
+                space=state.space,
+                node_facts=tuple(as_set(mask) for mask in facts[start:stop]),
+                exit_facts=as_set(exit_masks[state.signature]),
             )
 
         seed_sizes = tuple(

@@ -174,10 +174,15 @@ def _price_block_fast(
     use_mat = config.use_mat
     use_grp = config.use_grp
 
+    # Accesses are aligned to their size.  When the size divides the
+    # segment size -- 64-byte records and 32-byte MAT rows in 128-byte
+    # segments -- no access straddles two segments, so each access is
+    # one segment, resolved once per node instead of once per visit.
     record_bytes = costs.node_record_bytes
     if (
-        record_bytes > segment_bytes
-        or MAT_ROW_BYTES > segment_bytes
+        record_bytes < 1
+        or segment_bytes % record_bytes
+        or segment_bytes % MAT_ROW_BYTES
         or MemoryModel.REGION_STRIDE % segment_bytes
     ):  # pragma: no cover - exotic spec; exactness over speed
         return _price_block_scalar(trace, config, seed_sizes)
@@ -189,9 +194,15 @@ def _price_block_fast(
     else:
         branch_of = [str(m.branch_class) for m in meta]
         storage_of = [m.node for m in meta]
+    records_per_segment = segment_bytes // record_bytes
+    record_segment_of = [storage // records_per_segment for storage in storage_of]
     if use_mat:
-        fact_elements_of = [
-            [storage_of[m.node]] + [storage_of[succ] for succ in m.successors]
+        rows_per_segment = segment_bytes // MAT_ROW_BYTES
+        fact_segments_of = [
+            {
+                storage_of[element] // rows_per_segment
+                for element in (m.node, *m.successors)
+            }
             for m in meta
         ]
         generates_always = [m.group != 0 for m in meta]
@@ -202,8 +213,6 @@ def _price_block_fast(
     set_insert = costs.set_insert_cycles
     transaction_cycles = costs.memory_transaction_cycles
     divergence_pass = costs.divergence_pass_cycles
-    record_span = max(record_bytes, 1) - 1
-    row_span = MAT_ROW_BYTES - 1
 
     compute_cycles = 0.0
     divergence_cycles = 0.0
@@ -245,10 +254,7 @@ def _price_block_fast(
                         else 0
                     )
                     compute = node_issue + mat_lookup * (gen_work + new_total)
-                    for element in fact_elements_of[node]:
-                        address = element * MAT_ROW_BYTES
-                        fact_segments.add(address // segment_bytes)
-                        fact_segments.add((address + row_span) // segment_bytes)
+                    fact_segments.update(fact_segments_of[node])
                 else:
                     compute = (
                         node_issue
@@ -264,10 +270,7 @@ def _price_block_fast(
                 current = by_class.get(branch)
                 if current is None or compute > current:
                     by_class[branch] = compute
-                address = storage_of[node] * record_bytes
-                record_segments.add(address // segment_bytes)
-                if record_span:
-                    record_segments.add((address + record_span) // segment_bytes)
+                record_segments.add(record_segment_of[node])
 
             compute_cycles += sum(by_class.values())
             divergence_cycles += (len(by_class) - 1) * divergence_pass

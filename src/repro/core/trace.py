@@ -36,9 +36,15 @@ class NodeMeta:
     row_words: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VisitRecord:
-    """One node processed by one lane in one iteration."""
+    """One node processed by one lane in one iteration.
+
+    The runner builds one per visit, positionally: a frozen dataclass
+    built from keywords costs several times as much, and a NamedTuple
+    makes the replay's attribute reads slower.  Treat records as
+    read-only.
+    """
 
     node: int
     #: |IN| when the lane read its fact set.

@@ -75,19 +75,32 @@ def mask_from(indices: Iterable[int]) -> int:
     return mask
 
 
+def bit_indices(mask: int) -> List[int]:
+    """The set bit indices of a non-negative int mask, ascending.
+
+    Scans the reversed binary string with ``str.find``: one C-level
+    search per set bit, where isolating the lowest bit costs three
+    big-int operations per bit.
+    """
+    bits = bin(mask)[:1:-1]
+    indices: List[int] = []
+    index = bits.find("1")
+    while index >= 0:
+        indices.append(index)
+        index = bits.find("1", index + 1)
+    return indices
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit indices of an int mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Iterate the set bit indices of an int mask, ascending."""
+    return iter(bit_indices(mask))
 
 
 def mask_to_set(mask: int) -> Set[int]:
     """The int mask's bits as a plain set of fact ids."""
-    return set(iter_bits(mask))
+    return set(bit_indices(mask))
 
 
 def mask_to_frozenset(mask: int) -> FrozenSet[int]:
     """The int mask's bits as a frozenset of fact ids."""
-    return frozenset(iter_bits(mask))
+    return frozenset(bit_indices(mask))

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.bench.harness as harness
 from repro.apk.corpus import AppCorpus
+from repro.apk.generator import GeneratorProfile
 from repro.bench.harness import evaluate_corpus, last_run_stats
 from tests.conftest import TINY_PROFILE
 
@@ -145,3 +147,28 @@ class TestCommandLine:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert len(report["deltas"]) == len(bench_baseline.METRICS)
+
+    def test_compare_never_reads_cached_rows(self, tmp_path, monkeypatch, capsys):
+        """A doctored row in the on-disk cache cannot move compare's
+        numbers: the cache is keyed by version and schema, not code."""
+        out = self._record(tmp_path, monkeypatch)
+        capsys.readouterr()
+        # Fill the row cache for the baseline corpus, then doctor it.
+        harness._CACHE.clear()
+        evaluate_corpus(AppCorpus(size=2, profile=GeneratorProfile(scale=0.06)))
+        cached = list((tmp_path / "cache").glob("*.json"))
+        assert len(cached) == 2
+        for path in cached:
+            payload = json.loads(path.read_text())
+            payload["full_s"] *= 10
+            path.write_text(json.dumps(payload))
+        harness._CACHE.clear()
+        code = bench_baseline.main(
+            ["compare", "--baseline", str(out), "--json"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [d["relative"] for d in report["deltas"]] == [0.0] * len(
+            bench_baseline.METRICS
+        )
+        assert report["informational"]["current"]["hit_rate"] == 0.0

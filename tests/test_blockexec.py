@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
 from repro.core.blockexec import BlockRunner, WARP_SIZE
@@ -15,6 +16,7 @@ from repro.core.blocks import BlockAssignment, partition_layers
 from repro.core.config import TuningParameters
 from repro.core.engine import AppWorkload
 from repro.dataflow.worklist import analyze_app_reference
+from repro.perf import host_perf
 from tests.conftest import tiny_app
 
 
@@ -51,6 +53,20 @@ class TestFixedPointAgreement:
         # without AssertionError is the test.
         results = run_blocks(demo_app, record_mer=True)
         assert all(r.trace_mer is not None for r in results)
+
+    def test_mer_divergence_is_an_error(self, demo_app, monkeypatch):
+        """The check is an explicit raise, so ``python -O`` keeps it."""
+        dynamics = BlockRunner._run_dynamics
+
+        def perturbed(self, states, merging, trace, transfers):
+            facts = dynamics(self, states, merging, trace, transfers)
+            if merging and facts:
+                facts[0] ^= 1
+            return facts
+
+        monkeypatch.setattr(BlockRunner, "_run_dynamics", perturbed)
+        with pytest.raises(RuntimeError, match="MER dynamics diverged"):
+            run_blocks(demo_app, record_mer=True)
 
 
 class TestTraceInvariants:
@@ -113,3 +129,70 @@ def test_dynamics_agree_on_random_apps(seed):
     workload = AppWorkload.build(app)
     reference = analyze_app_reference(app)
     assert workload.idfg.equivalent_to(reference)
+
+
+# -- the round transfer memo --------------------------------------------------
+
+
+def assert_traces_match_seed_dynamics(app):
+    """Memoized mask dynamics vs the seed's set dynamics, record for
+    record, for both runs of every block; returns the most summary
+    rounds any block needed."""
+    with host_perf(True):
+        fast = run_blocks(app)
+    with host_perf(False):
+        reference = run_blocks(app)
+    assert len(fast) == len(reference)
+    for got, want in zip(fast, reference):
+        for trace, expected in (
+            (got.trace_sync, want.trace_sync),
+            (got.trace_mer, want.trace_mer),
+        ):
+            assert trace.summary_rounds == expected.summary_rounds
+            assert len(trace.iterations) == len(expected.iterations)
+            for iteration, reference_iteration in zip(
+                trace.iterations, expected.iterations
+            ):
+                assert iteration == reference_iteration
+        for signature, facts in want.method_facts.items():
+            assert got.method_facts[signature].node_facts == facts.node_facts
+            assert got.method_facts[signature].exit_facts == facts.exit_facts
+        assert got.summaries == want.summaries
+    return max(result.trace_sync.summary_rounds for result in fast)
+
+
+@pytest.mark.parametrize("seed", [13, 26])
+def test_memo_traces_match_across_summary_rounds(seed):
+    """Blocks that need several summary rounds: a memo that leaked
+    from one round into the next would replay stale call transfers."""
+    assert assert_traces_match_seed_dynamics(tiny_app(seed)) > 1
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=500, max_value=900))
+def test_memo_traces_match_seed_dynamics(seed):
+    assert_traces_match_seed_dynamics(tiny_app(seed))
+
+
+@host_perf(True)
+def test_transfer_counts_in_run_ledger(demo_app):
+    """``block.transfer_evals`` / ``block.transfer_memo_hits`` repeat
+    exactly, and the MER run reuses the sync run's transfers (the mask
+    dynamics' memo; the seed set dynamics never calls ``out_mask``)."""
+    counts = []
+    for _ in range(2):
+        with obs.tracing() as tracer:
+            AppWorkload.build(demo_app)
+        counts.append(
+            (
+                tracer.counters["block.transfer_evals"],
+                tracer.counters["block.transfer_memo_hits"],
+            )
+        )
+    assert counts[0] == counts[1]
+    evals, hits = counts[0]
+    assert evals > 0 and hits > 0
+    for seed in (3, 13):
+        with obs.tracing() as tracer:
+            AppWorkload.build(tiny_app(seed))
+        assert tracer.counters["block.transfer_memo_hits"] > 0

@@ -20,6 +20,12 @@ machines and any drift is a real model change.  Wall-clock throughput
 state-dependent, so they are recorded as *informational*: reported,
 never gating.
 
+Both commands always evaluate fresh rows and never read the on-disk
+row cache: its keys carry the package version and cache schema, not
+the code, so after an engine or pricing change a cached row would be
+recorded as the new baseline, or compared as 0% drift, whatever the
+code now computes.
+
 Usage::
 
     python tools/bench_baseline.py record  [--apps 6] [--scale 0.1] [--out PATH]
@@ -118,7 +124,6 @@ def collect_targeted_metrics(
     full_rows: Sequence[Any],
     corpus: Any,
     jobs: Optional[int] = None,
-    no_cache: bool = False,
 ) -> Dict[str, Any]:
     """Demand-driven vetting metrics for one corpus slice.
 
@@ -135,7 +140,7 @@ def collect_targeted_metrics(
 
     spec = TargetSpec.parse(TARGETED_SINKS)
     targeted_rows = evaluate_corpus(
-        corpus, jobs=jobs, no_cache=no_cache, targets=spec
+        corpus, jobs=jobs, no_cache=True, targets=spec
     )
     full_s = sum(
         row.full_s for row in full_rows if isinstance(row, AppEvaluation)
@@ -339,25 +344,22 @@ def compare_metrics(
     return Comparison(deltas=deltas, tolerance=tolerance)
 
 
-def _evaluate(apps: int, scale: float, jobs: Optional[int], no_cache: bool):
+def _evaluate(apps: int, scale: float, jobs: Optional[int]):
+    """Fresh rows for the slice (the on-disk row cache is never read)."""
     from repro.apk.corpus import AppCorpus
     from repro.apk.generator import GeneratorProfile
     from repro.bench.harness import evaluate_corpus, last_run_stats
 
     corpus = AppCorpus(size=apps, profile=GeneratorProfile(scale=scale))
-    rows = evaluate_corpus(corpus, jobs=jobs, no_cache=no_cache)
+    rows = evaluate_corpus(corpus, jobs=jobs, no_cache=True)
     return rows, last_run_stats(), corpus
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    rows, stats, corpus = _evaluate(
-        args.apps, args.scale, args.jobs, args.no_cache
-    )
+    rows, stats, corpus = _evaluate(args.apps, args.scale, args.jobs)
     collected = collect_metrics(rows, stats)
     collected["informational"].update(
-        collect_targeted_metrics(
-            rows, corpus, jobs=args.jobs, no_cache=args.no_cache
-        )
+        collect_targeted_metrics(rows, corpus, jobs=args.jobs)
     )
     collected["informational"].update(collect_serve_metrics(corpus))
     collected["informational"].update(collect_icc_metrics())
@@ -388,7 +390,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     apps = args.apps or int(corpus.get("apps", 6))
     scale = args.scale or float(corpus.get("scale", 0.1))
 
-    rows, stats, _ = _evaluate(apps, scale, args.jobs, args.no_cache)
+    rows, stats, _ = _evaluate(apps, scale, args.jobs)
     collected = collect_metrics(rows, stats)
     comparison = compare_metrics(
         baseline.get("metrics", {}), collected["metrics"], args.tolerance
@@ -465,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--scale", type=float, default=0.1 if name == "record" else 0.0
         )
         cmd.add_argument("--jobs", type=int, default=None)
-        cmd.add_argument("--no-cache", action="store_true")
     sub.choices["record"].add_argument("--out", default=DEFAULT_BASELINE)
     compare = sub.choices["compare"]
     compare.add_argument("--baseline", default=DEFAULT_BASELINE)
