@@ -4,9 +4,10 @@ Runs a 24-app corpus slice through the full evaluation harness three
 ways and records wall-clock and process peak RSS:
 
 * ``legacy-serial``  -- ``REPRO_HOST_PERF=0``: the seed's boolean
-  matrix store, set-based dynamics and scalar pricing loop.
+  matrix store, set-based dynamics and per-visit lane replay, which
+  reads the same columnar traces.
 * ``packed-serial``  -- the packed-bitset store, masked dynamics and
-  fused pricing (the default).
+  one vectorized pricing pass per configuration (the default).
 * ``packed-jobs4``   -- the packed path fanned out over 4 forked
   workers (on a single-core host this mainly demonstrates determinism,
   not speedup).

@@ -54,7 +54,7 @@ from repro.core.grouping import (
     branch_class_id,
     grouped_storage_order,
 )
-from repro.core.trace import BlockTrace, IterationRecord, NodeMeta, VisitRecord
+from repro.core.trace import BlockTrace, NodeMeta
 from repro.dataflow.bitset import bit_indices, mask_from, mask_to_frozenset
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import MethodFacts
@@ -78,8 +78,10 @@ class BlockResult:
     trace_sync: BlockTrace
     #: Merging-dynamics trace (MER configs); None when not requested.
     trace_mer: Optional[BlockTrace]
-    #: Initial (entry-seed) fact sizes per block node: (node, size).
-    seed_sizes: Tuple[Tuple[int, int], ...] = ()
+    #: Fixed-point fact count of every block node.  A node's fact set
+    #: only grows, so this final size fixes the set store's capacity
+    #: doublings (:func:`repro.core.costing.set_capacity`).
+    fact_counts: Tuple[int, ...] = ()
 
 
 class _MethodState:
@@ -314,6 +316,13 @@ class BlockRunner:
         facts: List[int] = [0] * node_count
         visited = [False] * node_count
         scheduled: Set[int] = set()
+        # The visit columns' appends, bound once: this loop runs for
+        # every visit, where a call to ``trace.add_visit`` would not pay.
+        record_node = trace.nodes.append
+        record_in = trace.in_sizes.append
+        record_out = trace.out_sizes.append
+        record_new = trace.new_facts.append
+        record_first = trace.first_visits.append
 
         worklist: List[int] = []
         for state in states:
@@ -333,8 +342,7 @@ class BlockRunner:
             head = worklist[:head_count]
             tail = worklist[head_count:]
 
-            visits: List[VisitRecord] = []
-            growth: Dict[int, int] = {}
+            growth: Set[int] = set()
             destinations: List[int] = []
             dest_seen: Set[int] = set(tail) if merging else set()
             iter_new: Dict[int, int] = {}
@@ -343,16 +351,15 @@ class BlockRunner:
             for node in head:
                 scheduled.discard(node)
                 out = out_mask(node, facts[node])
-                new_counts: List[int] = []
+                new_total = 0
                 for succ in successors_of[node]:
                     succ_mask = facts[succ]
                     added_bits = out & ~succ_mask
                     added = added_bits.bit_count()
-                    new_counts.append(added)
                     if added:
-                        succ_mask |= added_bits
-                        facts[succ] = succ_mask
-                        growth[succ] = succ_mask.bit_count()
+                        new_total += added
+                        facts[succ] = succ_mask | added_bits
+                        growth.add(succ)
                         iter_new[succ] = iter_new.get(succ, 0) + added
                     concurrent_dup = (
                         not added
@@ -375,22 +382,14 @@ class BlockRunner:
                 # after the successor unions: a self-looping node sees
                 # its own growth.  Re-read the masks accordingly.
                 in_size = facts[node].bit_count()
-                out_size = in_size if identity[node] else out.bit_count()
-                visits.append(
-                    VisitRecord(
-                        node, in_size, out_size, tuple(new_counts), not visited[node]
-                    )
-                )
+                record_node(node)
+                record_in(in_size)
+                record_out(in_size if identity[node] else out.bit_count())
+                record_new(new_total)
+                record_first(not visited[node])
                 visited[node] = True
 
-            trace.iterations.append(
-                IterationRecord(
-                    worklist_size=size,
-                    visits=tuple(visits),
-                    growth=tuple(sorted(growth.items())),
-                    merged=len(destinations) if merging else 0,
-                )
-            )
+            trace.add_iteration(size, head_count, len(destinations) if merging else 0)
             if merging:
                 worklist = destinations + tail
             else:
@@ -442,8 +441,7 @@ class BlockRunner:
             head = worklist[:head_count]
             tail = worklist[head_count:]
 
-            visits: List[VisitRecord] = []
-            growth: Dict[int, int] = {}
+            growth: Set[int] = set()
             destinations: List[int] = []
             dest_seen: Set[int] = set(tail) if merging else set()
             #: Facts added to each successor this iteration, and how
@@ -459,15 +457,15 @@ class BlockRunner:
                 local = local_of[node]
                 in_set = facts[node]
                 out = state.transfer.out_facts(local, in_set)
-                new_counts: List[int] = []
+                new_total = 0
                 for succ in meta[node].successors:
                     succ_facts = facts[succ]
                     before = len(succ_facts)
                     succ_facts |= out
                     added = len(succ_facts) - before
-                    new_counts.append(added)
+                    new_total += added
                     if added:
-                        growth[succ] = len(succ_facts)
+                        growth.add(succ)
                     # GPU lanes run concurrently: a lane whose atomic
                     # union added at least one fact observes
                     # update() == true and inserts the successor --
@@ -507,25 +505,12 @@ class BlockRunner:
                                     dup_inserts += 1
                                 else:
                                     nondup_inserts += 1
-                visits.append(
-                    VisitRecord(
-                        node=node,
-                        in_size=len(in_set),
-                        out_size=len(out),
-                        new_facts=tuple(new_counts),
-                        first_visit=not visited[node],
-                    )
+                trace.add_visit(
+                    node, len(in_set), len(out), new_total, not visited[node]
                 )
                 visited[node] = True
 
-            trace.iterations.append(
-                IterationRecord(
-                    worklist_size=size,
-                    visits=tuple(visits),
-                    growth=tuple(sorted(growth.items())),
-                    merged=len(destinations) if merging else 0,
-                )
-            )
+            trace.add_iteration(size, head_count, len(destinations) if merging else 0)
             if merging:
                 worklist = destinations + tail
             else:
@@ -642,16 +627,11 @@ class BlockRunner:
                 exit_facts=as_set(exit_masks[state.signature]),
             )
 
-        seed_sizes = tuple(
-            (state.offset, len(state.space.entry_facts()))
-            for state in states
-            if state.method.statements
-        )
         return BlockResult(
             assignment=self.assignment,
             method_facts=method_facts,
             summaries=new_summaries,
             trace_sync=trace_sync,
             trace_mer=trace_mer,
-            seed_sizes=seed_sizes,
+            fact_counts=tuple(mask.bit_count() for mask in facts),
         )

@@ -26,8 +26,9 @@ from repro.cfg.environment import app_with_environments
 from repro.core.blockexec import BlockResult, BlockRunner
 from repro.core.blocks import BlockAssignment, partition_layers
 from repro.core.config import GDroidConfig, TuningParameters
-from repro.core.costing import price_block, set_store_bytes
+from repro.core.costing import price_traces, set_store_bytes
 from repro.core.gdroid_kernel import select_trace
+from repro.core.trace import TraceColumns
 from repro.dataflow.idfg import IDFG
 from repro.dataflow.summaries import MethodSummary
 from repro.gpu.kernel import BlockCost, KernelCost
@@ -86,6 +87,7 @@ class AppWorkload:
         "idfg",
         "profile",
         "tuning",
+        "_columns",
     )
 
     def __init__(
@@ -109,6 +111,9 @@ class AppWorkload:
         self.idfg = idfg
         self.profile = profile
         self.tuning = tuning
+        #: Concatenated traces per dynamics variant (``use_mer``),
+        #: built by the first configuration priced on that variant.
+        self._columns: Dict[bool, TraceColumns] = {}
 
     @classmethod
     def build(
@@ -216,13 +221,33 @@ class AppWorkload:
             tuning=tuning,
         )
 
+    # -- pricing -------------------------------------------------------------------
+
+    def block_costs(self, config: GDroidConfig) -> Dict[int, BlockCost]:
+        """Every block priced under ``config`` in one pass, by block id.
+
+        The traces of ``config``'s dynamics variant are concatenated on
+        first use and kept for the other configurations of the variant.
+        """
+        columns = self._columns.get(config.use_mer)
+        if columns is None:
+            columns = self._columns[config.use_mer] = TraceColumns(
+                [select_trace(result, config) for result in self.block_results],
+                [result.fact_counts for result in self.block_results],
+            )
+        return {
+            result.assignment.block_id: cost
+            for result, cost in zip(
+                self.block_results, price_traces(columns, config)
+            )
+        }
+
     # -- memory footprints (Fig. 10) -----------------------------------------------
 
     def set_store_footprint(self) -> int:
         """Device bytes of the set-based fact store, app-wide."""
         return sum(
-            set_store_bytes(result.trace_sync, result.seed_sizes)
-            for result in self.block_results
+            set_store_bytes(result.fact_counts) for result in self.block_results
         )
 
     def matrix_store_footprint(self) -> int:
@@ -325,16 +350,11 @@ class GDroid:
         breakdown: Dict[str, float] = {}
         iterations = 0
         visits = 0
-        result_by_block = {
-            result.assignment.block_id: result
-            for result in workload.block_results
-        }
+        cost_by_block = workload.block_costs(config)
         for layer_blocks in workload.partition:
             block_costs: List[BlockCost] = []
             for assignment in layer_blocks:
-                result = result_by_block[assignment.block_id]
-                trace = select_trace(result, config)
-                cost = price_block(trace, config, result.seed_sizes)
+                cost = cost_by_block[assignment.block_id]
                 block_costs.append(cost)
                 iterations += cost.iterations
                 visits += cost.node_visits

@@ -43,4 +43,4 @@ def select_trace(result: BlockResult, config: GDroidConfig) -> BlockTrace:
 
 def price_gdroid_block(result: BlockResult, config: GDroidConfig) -> BlockCost:
     """Price one block under an (optionally partial) GDroid config."""
-    return price_block(select_trace(result, config), config, result.seed_sizes)
+    return price_block(select_trace(result, config), config, result.fact_counts)

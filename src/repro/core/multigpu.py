@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.config import GDroidConfig
-from repro.core.costing import price_block
 from repro.core.engine import AppWorkload
-from repro.core.gdroid_kernel import select_trace
 from repro.gpu.kernel import schedule_blocks
 from repro.gpu.spec import GPUSpec
 
@@ -101,10 +99,7 @@ class MultiGPUEngine:
         """Run the model over a built workload."""
         config = self.config
         spec = config.spec
-        result_by_block = {
-            result.assignment.block_id: result
-            for result in workload.block_results
-        }
+        cost_by_block = workload.block_costs(config)
 
         compute_cycles = 0.0
         exchange_cycles = 0.0
@@ -112,11 +107,7 @@ class MultiGPUEngine:
             if not layer_blocks:
                 continue
             # Partition the layer's blocks across devices (LPT) ...
-            priced = []
-            for assignment in layer_blocks:
-                result = result_by_block[assignment.block_id]
-                trace = select_trace(result, config)
-                priced.append(price_block(trace, config, result.seed_sizes))
+            priced = [cost_by_block[assignment.block_id] for assignment in layer_blocks]
             placement = lpt_assignment(
                 [cost.cycles for cost in priced], self.devices
             )

@@ -37,4 +37,4 @@ def price_plain_block(
     plain = GDroidConfig.plain(
         tuning=config.tuning, spec=config.spec, costs=config.costs
     )
-    return price_block(result.trace_sync, plain, result.seed_sizes)
+    return price_block(result.trace_sync, plain, result.fact_counts)

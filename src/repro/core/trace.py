@@ -1,4 +1,4 @@
-"""Execution-trace records shared by the runner and the cost adapters.
+"""Execution traces shared by the runner and the cost adapters.
 
 The functional block runner (:mod:`repro.core.blockexec`) executes the
 worklist dynamics once per dynamics variant and records *traces*; the
@@ -7,12 +7,24 @@ configurations (set vs matrix store, 25-way vs 3-way branching, ...).
 This split keeps multi-configuration benchmarks cheap: the expensive
 functional fixed point runs once, the cycle accounting -- which is
 what differs between configurations -- replays the trace.
+
+A trace is columnar, as the kernel keeps each node's facts in a
+fixed-size row: typed :class:`array.array` columns with one entry per
+visit and one per iteration, and no object per visit.  Pricing reads
+a visit's |IN|, |OUT|, first-visit flag and the new facts summed over
+its successors; the per-successor split is never needed, because the
+only other thing the cost rules read from it is its length, the
+node's successor count.  :class:`TraceColumns` concatenates the traces
+of a whole workload into numpy arrays for the vectorized pricing pass.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,54 +48,45 @@ class NodeMeta:
     row_words: int
 
 
-@dataclass(slots=True)
-class VisitRecord:
-    """One node processed by one lane in one iteration.
-
-    The runner builds one per visit, positionally: a frozen dataclass
-    built from keywords costs several times as much, and a NamedTuple
-    makes the replay's attribute reads slower.  Treat records as
-    read-only.
-    """
-
-    node: int
-    #: |IN| when the lane read its fact set.
-    in_size: int
-    #: |OUT| after GEN/KILL.
-    out_size: int
-    #: Per-successor count of facts that were actually new there.
-    new_facts: Tuple[int, ...]
-    #: First time this node is ever processed (one-time generators
-    #: do real work only now).
-    first_visit: bool
-
-
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """One while-loop iteration of a block's worklist."""
-
-    #: Worklist length at the top of the iteration (Table II histogram).
-    worklist_size: int
-    #: Number of nodes actually processed (== worklist_size without
-    #: MER; the head-list size with MER).
-    visits: Tuple[VisitRecord, ...]
-    #: node -> its fact-set size after this iteration, for every node
-    #: whose set grew (drives the set store's reallocation model).
-    growth: Tuple[Tuple[int, int], ...] = ()
-    #: Number of destination nodes MER merged into the worklist.
-    merged: int = 0
+def _ints() -> array:
+    return array("i")
 
 
 @dataclass
 class BlockTrace:
-    """Full trace of one thread block's execution."""
+    """Full trace of one thread block's execution, as columns.
+
+    Visit columns hold one entry per node processed by one lane, in
+    processing order; iteration columns hold one entry per while-loop
+    iteration of the block's worklist.  The visits of iteration ``i``
+    are the next ``iteration_visits[i]`` entries of the visit columns.
+    """
 
     block_id: int
     layer: int
     #: Methods analyzed by this block.
     methods: Tuple[str, ...]
     node_meta: Tuple[NodeMeta, ...]
-    iterations: List[IterationRecord] = field(default_factory=list)
+    # -- per visit ------------------------------------------------------------
+    #: Block-local node id.
+    nodes: array = field(default_factory=_ints)
+    #: |IN| when the lane read its fact set.
+    in_sizes: array = field(default_factory=_ints)
+    #: |OUT| after GEN/KILL.
+    out_sizes: array = field(default_factory=_ints)
+    #: Facts that were actually new, summed over the node's successors.
+    new_facts: array = field(default_factory=_ints)
+    #: 1 the first time this node is ever processed (one-time
+    #: generators do real work only now), else 0.
+    first_visits: array = field(default_factory=lambda: array("b"))
+    # -- per iteration --------------------------------------------------------
+    #: Worklist length at the top of the iteration (Table II histogram).
+    iteration_worklist: array = field(default_factory=_ints)
+    #: Nodes actually processed (== the worklist length without MER;
+    #: the head-list size with MER).
+    iteration_visits: array = field(default_factory=_ints)
+    #: Destination nodes MER merged into the worklist (0 without MER).
+    iteration_merged: array = field(default_factory=_ints)
     #: Fixed-point rounds for recursive SCC blocks (1 otherwise).
     summary_rounds: int = 1
 
@@ -95,17 +98,135 @@ class BlockTrace:
     @property
     def iteration_count(self) -> int:
         """Number of recorded iterations."""
-        return len(self.iterations)
+        return len(self.iteration_worklist)
 
     @property
     def visit_count(self) -> int:
         """Number of recorded node visits."""
-        return sum(len(it.visits) for it in self.iterations)
+        return len(self.nodes)
+
+    def add_visit(
+        self, node: int, in_size: int, out_size: int, new_facts: int, first_visit: bool
+    ) -> None:
+        """Record one visit of the current iteration."""
+        self.nodes.append(node)
+        self.in_sizes.append(in_size)
+        self.out_sizes.append(out_size)
+        self.new_facts.append(new_facts)
+        self.first_visits.append(first_visit)
+
+    def add_iteration(self, worklist_size: int, visits: int, merged: int) -> None:
+        """Close an iteration whose ``visits`` visits were just recorded."""
+        self.iteration_worklist.append(worklist_size)
+        self.iteration_visits.append(visits)
+        self.iteration_merged.append(merged)
+
+    def iteration_bounds(self) -> Iterator[Tuple[int, int]]:
+        """``(start, stop)`` of each iteration in the visit columns."""
+        start = 0
+        for visits in self.iteration_visits:
+            yield start, start + visits
+            start += visits
 
     def worklist_sizes(self) -> List[int]:
         """Per-iteration worklist lengths."""
-        return [it.worklist_size for it in self.iterations]
+        return self.iteration_worklist.tolist()
 
     def max_worklist(self) -> int:
         """Largest worklist observed (sync dynamics)."""
-        return max((it.worklist_size for it in self.iterations), default=0)
+        return max(self.iteration_worklist, default=0)
+
+
+def _column(parts: Sequence[array], typecode: str) -> np.ndarray:
+    """Concatenate typed columns into one int32 array."""
+    joined = array(typecode)
+    for part in parts:
+        joined.extend(part)
+    dtype = np.int8 if typecode == "b" else np.intc
+    return np.frombuffer(joined, dtype=dtype).astype(np.int32, copy=False)
+
+
+class TraceColumns:
+    """The traces of many blocks (one dynamics variant), concatenated.
+
+    Node ids become workload-global: block ``b``'s node ``n`` is
+    ``node_offset[b] + n``.  Built once per workload and variant and
+    priced once per configuration (:func:`repro.core.costing.price_traces`).
+    """
+
+    __slots__ = (
+        "traces",
+        "fact_counts",
+        "node",
+        "in_size",
+        "out_size",
+        "new_facts",
+        "first_visit",
+        "iteration_worklist",
+        "iteration_visits",
+        "iteration_merged",
+        "iteration_block",
+        "block_visits",
+        "branch_class",
+        "group",
+        "grouped_position",
+        "local_position",
+        "successor_count",
+        "elements_start",
+        "elements",
+    )
+
+    def __init__(
+        self, traces: Sequence[BlockTrace], fact_counts: Sequence[Sequence[int]]
+    ) -> None:
+        #: The block traces, and each block's per-node fixed-point
+        #: fact counts (which give the set store's reallocations).
+        self.traces = tuple(traces)
+        self.fact_counts = tuple(fact_counts)
+        block_nodes = np.array([t.node_count for t in traces], dtype=np.int64)
+        self.block_visits = np.array([t.visit_count for t in traces], dtype=np.int64)
+        block_iterations = np.array([t.iteration_count for t in traces], dtype=np.int64)
+        node_offset = np.cumsum(block_nodes) - block_nodes
+
+        # -- per visit --------------------------------------------------------
+        self.node = _column([t.nodes for t in traces], "i")
+        self.node += np.repeat(node_offset, self.block_visits).astype(np.int32)
+        self.in_size = _column([t.in_sizes for t in traces], "i")
+        self.out_size = _column([t.out_sizes for t in traces], "i")
+        self.new_facts = _column([t.new_facts for t in traces], "i")
+        self.first_visit = _column([t.first_visits for t in traces], "b").astype(bool)
+
+        # -- per iteration ----------------------------------------------------
+        self.iteration_worklist = _column([t.iteration_worklist for t in traces], "i")
+        self.iteration_visits = _column([t.iteration_visits for t in traces], "i")
+        self.iteration_merged = _column([t.iteration_merged for t in traces], "i")
+        self.iteration_block = np.repeat(
+            np.arange(len(traces), dtype=np.int32), block_iterations
+        )
+
+        # -- per node ---------------------------------------------------------
+        metas = [m for t in traces for m in t.node_meta]
+        self.branch_class = np.array([m.branch_class for m in metas], dtype=np.int32)
+        self.group = np.array([m.group for m in metas], dtype=np.int32)
+        #: Storage positions (block-local) under the plain and GRP layouts.
+        self.local_position = np.array([m.node for m in metas], dtype=np.int32)
+        self.grouped_position = np.array(
+            [m.grouped_position for m in metas], dtype=np.int32
+        )
+        self.successor_count = np.array(
+            [len(m.successors) for m in metas], dtype=np.int32
+        )
+        #: The fact rows a MAT visit touches, CSR: the node itself, then
+        #: its successors, as workload-global node ids.
+        counts = self.successor_count.astype(np.int64) + 1
+        self.elements_start = np.concatenate(([0], np.cumsum(counts)))
+        self.elements = np.fromiter(
+            (
+                offset + element
+                for trace, offset in zip(traces, node_offset.tolist())
+                for m in trace.node_meta
+                for element in (m.node, *m.successors)
+            ),
+            dtype=np.int32,
+            count=int(self.elements_start[-1]),
+        )

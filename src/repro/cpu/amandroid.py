@@ -111,13 +111,10 @@ class AmandroidModel:
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
             rounds = max(1, trace.summary_rounds)
-            for iteration in trace.iterations:
-                for visit in iteration.visits:
-                    idfg += rounds * (
-                        costs.visit_cycles
-                        + costs.fact_cycles
-                        * (visit.in_size + sum(visit.new_facts))
-                    )
+            for in_size, new_facts in zip(trace.in_sizes, trace.new_facts):
+                idfg += rounds * (
+                    costs.visit_cycles + costs.fact_cycles * (in_size + new_facts)
+                )
             for facts in result.method_facts.values():
                 total_facts += facts.fact_count()
 

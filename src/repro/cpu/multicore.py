@@ -106,21 +106,20 @@ class MulticoreWorklist:
         """Sequential cycles of each method's FIFO worklist run."""
         costs = self.costs
         cycles: Dict[str, float] = {}
-        visits: Dict[str, int] = {}
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
-            meta = trace.node_meta
+            method_of = [meta.method for meta in trace.node_meta]
             rounds = max(1, trace.summary_rounds)
-            for iteration in trace.iterations:
-                for visit in iteration.visits:
-                    method = meta[visit.node].method
-                    work = (
-                        costs.visit_cycles
-                        + costs.fact_scan_cycles * visit.in_size
-                        + costs.fact_insert_cycles * sum(visit.new_facts)
-                    )
-                    cycles[method] = cycles.get(method, 0.0) + work * rounds
-                    visits[method] = visits.get(method, 0) + rounds
+            for node, in_size, new_facts in zip(
+                trace.nodes, trace.in_sizes, trace.new_facts
+            ):
+                method = method_of[node]
+                work = (
+                    costs.visit_cycles
+                    + costs.fact_scan_cycles * in_size
+                    + costs.fact_insert_cycles * new_facts
+                )
+                cycles[method] = cycles.get(method, 0.0) + work * rounds
         for method in cycles:
             cycles[method] += costs.method_overhead_cycles
         return cycles

@@ -1,11 +1,12 @@
 """Host-performance mode switch.
 
-The functional simulation and the cost replay are pure Python on the
-critical path of every benchmark.  This module gates the *host*
-performance layer -- packed-bitset fact sets and block dynamics with a
-per-round transfer memo, the fused trace-pricing loop with aligned
-segment counting, vectorized transaction decomposition, and memoized
-summary footprints -- behind one switch so that
+The functional simulation and the cost replay are on the critical
+path of every benchmark.  This module gates the *host* performance
+layer -- packed-bitset fact sets and block dynamics with a per-round
+transfer memo, one vectorized numpy pricing pass per configuration
+over a workload's columnar traces, vectorized transaction
+decomposition, and memoized summary footprints -- behind one switch so
+that
 
 * production runs default to the fast implementations, and
 * the seed-equivalent scalar implementations stay callable, both as a

@@ -69,39 +69,53 @@ class TestFixedPointAgreement:
             run_blocks(demo_app, record_mer=True)
 
 
+def iteration_nodes(trace):
+    """The visited nodes of each iteration, in processing order."""
+    nodes = trace.nodes.tolist()
+    return [nodes[start:stop] for start, stop in trace.iteration_bounds()]
+
+
 class TestTraceInvariants:
     def test_visits_bounded_by_worklist(self, demo_app):
         for result in run_blocks(demo_app):
             for trace in (result.trace_sync, result.trace_mer):
-                for iteration in trace.iterations:
-                    assert len(iteration.visits) <= iteration.worklist_size
+                for visits, size in zip(
+                    trace.iteration_visits, trace.iteration_worklist
+                ):
+                    assert visits <= size
 
     def test_mer_processes_at_most_one_warp(self, demo_app):
         for result in run_blocks(demo_app):
-            for iteration in result.trace_mer.iterations:
-                assert len(iteration.visits) <= WARP_SIZE
+            for visits in result.trace_mer.iteration_visits:
+                assert visits <= WARP_SIZE
 
     def test_sync_processes_whole_worklist(self, demo_app):
         for result in run_blocks(demo_app):
-            for iteration in result.trace_sync.iterations:
-                assert len(iteration.visits) == iteration.worklist_size
+            trace = result.trace_sync
+            assert trace.iteration_visits == trace.iteration_worklist
+            assert sum(trace.iteration_visits) == trace.visit_count
 
     def test_first_visit_flags(self, demo_app):
         for result in run_blocks(demo_app):
             seen = set()
-            for iteration in result.trace_sync.iterations:
-                for visit in iteration.visits:
-                    if visit.first_visit:
-                        assert visit.node not in seen
-                    seen.add(visit.node)
+            trace = result.trace_sync
+            for node, first_visit in zip(trace.nodes, trace.first_visits):
+                if first_visit:
+                    assert node not in seen
+                seen.add(node)
 
-    def test_growth_entries_reference_real_nodes(self, demo_app):
+    def test_fact_counts_are_fixed_point_sizes(self, demo_app):
+        """``fact_counts`` (which replace the per-iteration growth
+        records) hold one size per real node: its fixed-point set."""
         for result in run_blocks(demo_app):
-            count = result.trace_sync.node_count
-            for iteration in result.trace_sync.iterations:
-                for node, size in iteration.growth:
-                    assert 0 <= node < count
-                    assert size > 0
+            sizes = [
+                len(facts)
+                for signature in result.assignment.methods
+                for facts in result.method_facts[signature].node_facts
+            ]
+            assert list(result.fact_counts) == sizes
+            assert len(sizes) == result.trace_sync.node_count
+            assert any(size > 0 for size in sizes)
 
     def test_node_meta_consistency(self, demo_app):
         for result in run_blocks(demo_app):
@@ -116,8 +130,7 @@ class TestTraceInvariants:
     def test_mer_dedup(self, demo_app):
         """MER worklists contain no duplicate entries (Fig. 7)."""
         for result in run_blocks(demo_app):
-            for iteration in result.trace_mer.iterations:
-                nodes = [v.node for v in iteration.visits]
+            for nodes in iteration_nodes(result.trace_mer):
                 assert len(nodes) == len(set(nodes))
 
 
@@ -134,9 +147,22 @@ def test_dynamics_agree_on_random_apps(seed):
 # -- the round transfer memo --------------------------------------------------
 
 
+#: Every column of a :class:`BlockTrace`.
+TRACE_COLUMNS = (
+    "nodes",
+    "in_sizes",
+    "out_sizes",
+    "new_facts",
+    "first_visits",
+    "iteration_worklist",
+    "iteration_visits",
+    "iteration_merged",
+)
+
+
 def assert_traces_match_seed_dynamics(app):
-    """Memoized mask dynamics vs the seed's set dynamics, record for
-    record, for both runs of every block; returns the most summary
+    """Memoized mask dynamics vs the seed's set dynamics, column for
+    column, for both runs of every block; returns the most summary
     rounds any block needed."""
     with host_perf(True):
         fast = run_blocks(app)
@@ -149,11 +175,10 @@ def assert_traces_match_seed_dynamics(app):
             (got.trace_mer, want.trace_mer),
         ):
             assert trace.summary_rounds == expected.summary_rounds
-            assert len(trace.iterations) == len(expected.iterations)
-            for iteration, reference_iteration in zip(
-                trace.iterations, expected.iterations
-            ):
-                assert iteration == reference_iteration
+            assert trace.iteration_count == expected.iteration_count
+            for column in TRACE_COLUMNS:
+                assert getattr(trace, column) == getattr(expected, column), column
+        assert got.fact_counts == want.fact_counts
         for signature, facts in want.method_facts.items():
             assert got.method_facts[signature].node_facts == facts.node_facts
             assert got.method_facts[signature].exit_facts == facts.exit_facts

@@ -32,9 +32,8 @@ class TestMulticore:
         visited_methods = set()
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
-            for iteration in trace.iterations:
-                for visit in iteration.visits:
-                    visited_methods.add(trace.node_meta[visit.node].method)
+            for node in trace.nodes:
+                visited_methods.add(trace.node_meta[node].method)
         assert set(per_method) == visited_methods
 
     def test_layer_barriers_counted(self, workload):

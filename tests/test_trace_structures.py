@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import AppWorkload
-from repro.core.trace import BlockTrace, IterationRecord, NodeMeta, VisitRecord
+from repro.core.trace import BlockTrace, NodeMeta
 from tests.conftest import tiny_app
 
 
@@ -22,24 +22,11 @@ def make_trace():
         for i in range(3)
     )
     trace = BlockTrace(block_id=0, layer=0, methods=("a.B.m()V",), node_meta=meta)
-    trace.iterations.append(
-        IterationRecord(
-            worklist_size=2,
-            visits=(
-                VisitRecord(node=0, in_size=1, out_size=2, new_facts=(2,), first_visit=True),
-                VisitRecord(node=1, in_size=2, out_size=2, new_facts=(0,), first_visit=True),
-            ),
-            growth=((1, 2),),
-        )
-    )
-    trace.iterations.append(
-        IterationRecord(
-            worklist_size=1,
-            visits=(
-                VisitRecord(node=2, in_size=2, out_size=2, new_facts=(), first_visit=True),
-            ),
-        )
-    )
+    trace.add_visit(node=0, in_size=1, out_size=2, new_facts=2, first_visit=True)
+    trace.add_visit(node=1, in_size=2, out_size=2, new_facts=0, first_visit=True)
+    trace.add_iteration(worklist_size=2, visits=2, merged=0)
+    trace.add_visit(node=2, in_size=2, out_size=2, new_facts=0, first_visit=True)
+    trace.add_iteration(worklist_size=1, visits=1, merged=0)
     return trace
 
 
@@ -51,6 +38,7 @@ class TestBlockTrace:
         assert trace.visit_count == 3
         assert trace.worklist_sizes() == [2, 1]
         assert trace.max_worklist() == 2
+        assert list(trace.iteration_bounds()) == [(0, 2), (2, 3)]
 
     def test_empty_trace(self):
         trace = BlockTrace(block_id=0, layer=0, methods=(), node_meta=())
