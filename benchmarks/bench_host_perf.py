@@ -3,11 +3,12 @@
 Runs a 24-app corpus slice through the full evaluation harness three
 ways and records wall-clock and process peak RSS:
 
-* ``legacy-serial``  -- ``REPRO_HOST_PERF=0``: the seed's boolean
-  matrix store, set-based dynamics and per-visit lane replay, which
-  reads the same columnar traces.
-* ``packed-serial``  -- the packed-bitset store, masked dynamics and
-  one vectorized pricing pass per configuration (the default).
+* ``legacy-serial``  -- the seed's composition, patched in for this
+  leg: the block runner's per-element set dynamics and the per-visit
+  lane replay, which reads the same columnar traces.
+* ``packed-serial``  -- masked dynamics with the per-round transfer
+  memo and one vectorized pricing pass per configuration (the only
+  production path).
 * ``packed-jobs4``   -- the packed path fanned out over 4 forked
   workers (on a single-core host this mainly demonstrates determinism,
   not speedup).
@@ -22,10 +23,13 @@ import os
 import resource
 import time
 
+import pytest
+
 import repro.bench.harness as harness
 from repro.apk.corpus import AppCorpus
 from repro.bench.figures import render_table
-from repro.perf import host_perf
+from repro.core import costing
+from repro.core.blockexec import BlockRunner
 
 from conftest import RESULTS_DIR, publish
 
@@ -42,10 +46,17 @@ def _peak_rss_bytes() -> int:
     return max(own, kids) * 1024
 
 
-def _run_leg(corpus, enabled: bool, jobs: int):
+def _set_dynamics(runner, states, merging, trace, transfers):
+    return runner._run_dynamics_sets(states, merging, trace)
+
+
+def _run_leg(corpus, jobs: int, seed_path: bool = False):
     """One cold harness sweep; returns (rows, wall_s, peak_rss)."""
     harness._CACHE.clear()
-    with host_perf(enabled):
+    with pytest.MonkeyPatch.context() as patch:
+        if seed_path:
+            patch.setattr(BlockRunner, "_run_dynamics", _set_dynamics)
+            patch.setattr(costing, "_vectorized_exact", lambda config: False)
         started = time.perf_counter()
         rows = harness.evaluate_corpus(corpus, jobs=jobs, no_cache=True)
         wall = time.perf_counter() - started
@@ -55,9 +66,9 @@ def _run_leg(corpus, enabled: bool, jobs: int):
 def test_host_perf_speedup():
     corpus = AppCorpus(size=BENCH_APPS)
 
-    legacy_rows, legacy_s, legacy_rss = _run_leg(corpus, False, jobs=1)
-    packed_rows, packed_s, packed_rss = _run_leg(corpus, True, jobs=1)
-    jobs_rows, jobs_s, jobs_rss = _run_leg(corpus, True, jobs=4)
+    legacy_rows, legacy_s, legacy_rss = _run_leg(corpus, jobs=1, seed_path=True)
+    packed_rows, packed_s, packed_rss = _run_leg(corpus, jobs=1)
+    jobs_rows, jobs_s, jobs_rss = _run_leg(corpus, jobs=4)
 
     assert packed_rows == legacy_rows, "packed path must be bit-exact"
     assert jobs_rows == legacy_rows, "parallel path must be bit-exact"

@@ -15,7 +15,9 @@ from repro import GDroid, GDroidConfig, generate_app
 from repro.apk.generator import GeneratorProfile
 from repro.core.engine import AppWorkload
 from repro.gpu.counters import run_counters
-from repro.gpu.timeline import export_chrome_trace
+from repro.gpu.spec import TESLA_P40
+from repro.gpu.timeline import kernel_timeline_events
+from repro.obs.export import write_chrome_trace
 
 
 def main() -> None:
@@ -47,7 +49,11 @@ def main() -> None:
     ):
         print(f"  {key.replace('_cycles', ''):18s} {100 * share:5.1f}%")
 
-    events = export_chrome_trace(full.kernels, trace_path)
+    events = write_chrome_trace(
+        kernel_timeline_events(full.kernels, TESLA_P40),
+        trace_path,
+        {"device": TESLA_P40.name, "source": "repro.gpu simulator"},
+    )
     print(f"\nwrote {trace_path} ({events} events) — open in chrome://tracing")
 
 

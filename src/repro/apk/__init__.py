@@ -17,10 +17,8 @@ equivalent that exercises the same code paths:
 * :mod:`repro.apk.loader` -- bytes -> IR loading (the frontend path).
 """
 
-from repro.apk.bytecode import ConstantPools, assemble_method, disassemble_method
 from repro.apk.corpus import AppCorpus, CorpusStats
 from repro.apk.dex import pack_app, unpack_app
-from repro.apk.dex2 import pack_app_v2, unpack_app_v2
 from repro.apk.generator import AppGenerator, GeneratorProfile, generate_app
 from repro.apk.loader import load_gdx, save_gdx
 from repro.apk.manifest import AndroidManifest, manifest_of
@@ -29,17 +27,12 @@ __all__ = [
     "AndroidManifest",
     "AppCorpus",
     "AppGenerator",
-    "ConstantPools",
     "CorpusStats",
     "GeneratorProfile",
-    "assemble_method",
-    "disassemble_method",
     "generate_app",
     "load_gdx",
     "manifest_of",
     "pack_app",
-    "pack_app_v2",
     "save_gdx",
     "unpack_app",
-    "unpack_app_v2",
 ]

@@ -150,13 +150,9 @@ def pack_app(app: AndroidApp) -> bytes:
 def unpack_app(blob: bytes) -> AndroidApp:
     """Reconstruct an app from ``.gdx`` bytes.
 
-    Dispatches on the magic: v1 (textual statements) is handled here,
-    v2 (pooled bytecode) by :mod:`repro.apk.dex2`.
+    Any input that does not start with the ``GDX1`` magic is rejected
+    with :class:`GdxFormatError`, as is every malformed field after it.
     """
-    if blob[:4] == b"GDX2":
-        from repro.apk.dex2 import unpack_app_v2
-
-        return unpack_app_v2(blob)
     src = BytesIO(blob)
     if _read_exact(src, 4) != MAGIC:
         raise GdxFormatError("bad magic; not a .gdx container")

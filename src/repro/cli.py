@@ -34,6 +34,7 @@ from repro.apk.loader import load_gdx, save_gdx
 from repro.core.config import GDroidConfig
 from repro.core.engine import AppWorkload, GDroid
 from repro.cpu.multicore import MulticoreWorklist
+from repro.ir.app import AndroidApp
 from repro.vetting.report import vet_workload
 
 _CONFIGS = {
@@ -42,6 +43,22 @@ _CONFIGS = {
     "mat-grp": GDroidConfig.mat_grp,
     "full": GDroidConfig.all_optimizations,
 }
+
+
+class _InputError(Exception):
+    """A command's input could not be loaded; :func:`main` exits 2."""
+
+
+def _load_app(path: str) -> AndroidApp:
+    """Load a ``.gdx`` a command was given.
+
+    A missing, unreadable or malformed container ends every command the
+    same way: ``error: PATH: message`` on stderr and exit code 2.
+    """
+    try:
+        return load_gdx(path)
+    except (OSError, ValueError) as error:
+        raise _InputError(f"{path}: {error}") from error
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -432,7 +449,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    app = load_gdx(args.app)
+    app = _load_app(args.app)
     workload = AppWorkload.build(app)
     names = sorted(_CONFIGS) if args.all else [args.config]
     print(
@@ -450,9 +467,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cpu = MulticoreWorklist().analyze(workload)
     print(f"  {'cpu':8s} {cpu.modeled_time_s * 1e3:10.3f} ms  (10-core host)")
     if args.timeline and last_result is not None:
-        from repro.gpu.timeline import export_chrome_trace
+        from repro.gpu.spec import TESLA_P40
+        from repro.gpu.timeline import kernel_timeline_events
+        from repro.obs.export import write_chrome_trace
 
-        count = export_chrome_trace(last_result.kernels, args.timeline)
+        count = write_chrome_trace(
+            kernel_timeline_events(last_result.kernels, TESLA_P40),
+            args.timeline,
+            {"device": TESLA_P40.name, "source": "repro.gpu simulator"},
+        )
         print(f"  wrote {args.timeline} ({count} trace events)")
     return 0
 
@@ -529,7 +552,7 @@ def _cmd_vet(args: argparse.Namespace) -> int:
         except BaselineError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        app = load_gdx(args.app)
+        app = _load_app(args.app)
         print(diff_apps(baseline_app, app).summary())
         report, stats = vet_incremental(
             app,
@@ -543,7 +566,7 @@ def _cmd_vet(args: argparse.Namespace) -> int:
         if rules is not None:
             _render_findings(report, rules, args)
         return 0 if not report.is_suspicious else 2
-    app = load_gdx(args.app)
+    app = _load_app(args.app)
     if spec is not None:
         from repro.vetting.targeted import vet_targeted
 
@@ -660,13 +683,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.lint import JSON_SCHEMA_VERSION, run_lint
 
-    targets = []
-    for path in args.apps:
-        try:
-            targets.append((path, load_gdx(path)))
-        except (OSError, ValueError) as error:
-            print(f"error: {path}: {error}", file=sys.stderr)
-            return 2
+    targets = [(path, _load_app(path)) for path in args.apps]
     if args.corpus:
         profile = GeneratorProfile(scale=args.scale)
         for index in range(args.corpus):
@@ -1016,7 +1033,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.core.autotune import AutoTuner
 
-    app = load_gdx(args.app)
+    app = _load_app(args.app)
     result = AutoTuner().tune(app)
     print(f"{app.package}: swept {len(result.samples)} candidates")
     for sample in sorted(result.samples, key=lambda s: s.modeled_time_s)[:5]:
@@ -1051,6 +1068,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except _InputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an
         # error worth a traceback.  Detach stdout so the interpreter's

@@ -61,7 +61,6 @@ from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
 from repro.dataflow.transfer import MaskTransfer, NodePlan, TransferFunctions
 from repro.ir.app import AndroidApp
-from repro.perf import host_perf_enabled
 
 #: CUDA warp size; the head-list granularity of MER.
 WARP_SIZE = 32
@@ -94,7 +93,7 @@ class _MethodState:
         "space",
         "transfer",
         "offset",
-        "_masked",
+        "masked",
     )
 
     def __init__(
@@ -103,26 +102,16 @@ class _MethodState:
         signature: str,
         summaries,
         offset: int,
-        footprints: Optional[Dict[str, CalleeFootprint]] = None,
+        footprints: Dict[str, CalleeFootprint],
     ):
         self.signature = signature
         self.method = app.method_table[signature]
         self.cfg = build_intra_cfg(self.method)
-        if footprints is None:
-            footprints = {
-                sig: summary.footprint() for sig, summary in summaries.items()
-            }
         self.space = FactSpace(self.method, footprints)
         self.transfer = TransferFunctions(self.space, summaries)
         self.offset = offset
-        self._masked: Optional[MaskTransfer] = None
-
-    @property
-    def masked(self) -> MaskTransfer:
-        """Packed-bitset view of the transfer functions (lazy)."""
-        if self._masked is None:
-            self._masked = MaskTransfer(self.transfer)
-        return self._masked
+        #: Packed-bitset view of the transfer functions.
+        self.masked = MaskTransfer(self.transfer)
 
 
 def _walks_points_to(plan: NodePlan) -> bool:
@@ -226,11 +215,9 @@ class BlockRunner:
         # The callee footprints depend only on the summary table, which
         # is identical for every method of the block: resolve them once
         # per round instead of once per method state.
-        footprints = (
-            {sig: summary.footprint() for sig, summary in summaries.items()}
-            if host_perf_enabled()
-            else None
-        )
+        footprints = {
+            sig: summary.footprint() for sig, summary in summaries.items()
+        }
         states: List[_MethodState] = []
         offset = 0
         for signature in self.assignment.methods:
@@ -282,25 +269,8 @@ class BlockRunner:
     ) -> List[int]:
         """Execute one fixed-point run; returns per-block-node fact masks.
 
-        Dispatches between the packed-bitset implementation (facts as
-        int masks, whole GEN/KILL batches per mask op) and the seed's
-        per-element set implementation.  Both record identical traces
-        and land on identical fixed points.
-        """
-        if host_perf_enabled():
-            return self._run_dynamics_masked(states, merging, trace, transfers)
-        return self._run_dynamics_sets(states, merging, trace)
-
-    def _run_dynamics_masked(
-        self,
-        states: Sequence[_MethodState],
-        merging: bool,
-        trace: BlockTrace,
-        transfers: _RoundTransfers,
-    ) -> List[int]:
-        """Packed-bitset dynamics: one int mask per block node.
-
-        Mirrors :meth:`_run_dynamics_sets` op for op -- including the
+        Packed-bitset dynamics, one int mask per block node.  Mirrors
+        the seed's :meth:`_run_dynamics_sets` op for op -- including the
         aliasing of each node's live IN set when its sizes are recorded
         -- so the emitted trace is byte-identical.  The per-successor
         union of a whole out-set becomes two int ops (``& ~`` and
@@ -402,9 +372,12 @@ class BlockRunner:
         merging: bool,
         trace: BlockTrace,
     ) -> List[int]:
-        """The seed's per-element set dynamics (baseline / oracle).
+        """The seed's per-element set dynamics: the trace reference.
 
-        Returns its fixed point as int masks, converted once at the end.
+        Evaluates ``TransferFunctions.out_facts`` directly, without the
+        round memo.  Tests patch it in for :meth:`_run_dynamics` and
+        compare the traces.  Returns its fixed point as int masks,
+        converted once at the end.
         """
         node_count = sum(len(s.method.statements) for s in states)
         facts: List[Set[int]] = [set() for _ in range(node_count)]

@@ -39,7 +39,6 @@ from repro.gpu.kernel import BlockCost
 from repro.gpu.memory import MemoryModel
 from repro.gpu.spec import CostTable
 from repro.gpu.warp import LaneWork, REGION_FACTS, execute_warp, form_warps
-from repro.perf import host_perf_enabled
 
 #: Modeled bytes per fact-matrix row touched per visit (a handful of
 #: 64-bit mask words); rows of neighbouring nodes are adjacent, so
@@ -187,12 +186,12 @@ def price_block(
 def price_traces(columns: TraceColumns, config: GDroidConfig) -> List[BlockCost]:
     """Price every block of ``columns`` under ``config``, in block order.
 
-    Dispatches between the vectorized pass and the seed's per-visit
-    replay (``REPRO_HOST_PERF``).  The vectorized pass also hands a
-    spec or cost table it cannot price exactly to the replay, so both
-    produce identical cycle counts, bit for bit.
+    Takes the vectorized pass, and hands a spec or cost table it
+    cannot price exactly (:func:`_vectorized_exact`) to the seed's
+    per-visit replay, so every config prices bit for bit as the replay
+    would.
     """
-    if host_perf_enabled() and _vectorized_exact(config):
+    if _vectorized_exact(config):
         return _price_columns(columns, config)
     return [
         _price_block_scalar(trace, config, counts)

@@ -6,9 +6,10 @@ Two packed representations are used on the host:
   matrix_store.MatrixFactStore` -- the paper's MAT layout at its
   actual 1-bit-per-cell density, updated with vectorized
   ``bitwise_or`` / ``bitwise_count`` operations across all words at
-  once instead of a byte-per-bit boolean matrix.
+  once.
 * **Python int masks** carry the per-node fact sets inside the
-  worklist fixed points (:mod:`repro.core.blockexec`,
+  block runner's fixed points (:mod:`repro.core.blockexec`) and the
+  incremental miss path (``SequentialWorklist.run_masked`` in
   :mod:`repro.dataflow.worklist`).  An arbitrary-precision int is a
   packed little-endian bitset whose ``&``/``|``/``>>``/``bit_count``
   ops run in C over all 64-bit limbs per interpreter step -- the

@@ -15,7 +15,9 @@ makes the re-run pay only for what changed:
   schedule of :func:`repro.dataflow.worklist.analyze_app_reference`,
   but consults the store per SCC first.  A hit restores the members'
   summaries and node facts without running a single worklist visit; a
-  miss computes the SCC exactly as the reference does and persists it.
+  miss computes the SCC on the reference's schedule and persists it.
+  The miss runs :meth:`SequentialWorklist.run_masked`, which visits the
+  same nodes as the set-based oracle on int masks.
 
 * After its SCC entries are written, each pass writes one *index
   entry*, ``apps/<app key>.json`` under the store root, listing the
@@ -362,11 +364,12 @@ def analyze_app_incremental(
             stats.visits_incremental += REUSED_METHOD_COST * len(scc)
             continue
 
-        # Miss: compute exactly as compute_summaries/analyze_app_reference
-        # would.  For a non-recursive method the summary-building run
-        # already *is* the final pass (same callee summaries), so its
-        # facts are reused; recursive SCCs get one extra per-member run
-        # with the converged summaries to produce final-pass facts.
+        # Miss: compute as compute_summaries/analyze_app_reference would,
+        # on int masks (same visits, same fixed point).  For a
+        # non-recursive method the summary-building run already *is*
+        # the final pass (same callee summaries), so its facts are
+        # reused; recursive SCCs get one extra per-member run with the
+        # converged summaries to produce final-pass facts.
         executed = 0
         results: Dict[str, MethodFacts] = {}
         if len(scc) == 1 and not _is_self_recursive(app, scc[0]):
@@ -374,7 +377,7 @@ def analyze_app_incremental(
             worklist = SequentialWorklist(
                 app.method_table[signature], summaries
             )
-            result = worklist.run()
+            result = worklist.run_masked()
             executed += worklist.visits
             summaries[signature] = SummaryBuilder(result.space).build(
                 result.exit_facts
@@ -390,7 +393,7 @@ def analyze_app_incremental(
                     worklist = SequentialWorklist(
                         app.method_table[signature], summaries
                     )
-                    result = worklist.run()
+                    result = worklist.run_masked()
                     executed += worklist.visits
                     updated = SummaryBuilder(result.space).build(
                         result.exit_facts
@@ -402,7 +405,7 @@ def analyze_app_incremental(
                 worklist = SequentialWorklist(
                     app.method_table[signature], summaries
                 )
-                results[signature] = worklist.run()
+                results[signature] = worklist.run_masked()
                 executed += worklist.visits
 
         for signature in scc:

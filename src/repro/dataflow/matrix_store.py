@@ -11,17 +11,14 @@ set updates with constant-time entry lookups.
 Implementation: one NumPy ``uint64`` array of shape
 ``(node_count, ceil(universe / 64))`` -- the paper's 1-bit-per-cell
 packing realized on the host, mutated with vectorized
-``bitwise_or`` / ``bitwise_count`` word operations.
-:class:`BooleanMatrixStore` keeps the seed's byte-per-bit boolean
-backing as the baseline leg of ``benchmarks/bench_host_perf.py`` and
-as the equivalence oracle in ``tests/test_stores.py``.  The *modeled
-device footprint* (Fig. 10) is identical for both and is computed at
-the paper's contiguous 1-bit-per-cell packing in :meth:`memory_bytes`.
+``bitwise_or`` / ``bitwise_count`` word operations.  The *modeled
+device footprint* (Fig. 10) is computed at the paper's contiguous
+1-bit-per-cell packing in :meth:`memory_bytes`.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Set, Tuple
 
 import numpy as np
 
@@ -121,77 +118,4 @@ class MatrixFactStore:
         return (
             f"MatrixFactStore({self.node_count} nodes x {self.universe} cells, "
             f"{self.total_fact_count()} facts)"
-        )
-
-
-class BooleanMatrixStore:
-    """The seed's byte-per-bit boolean backing (baseline / oracle)."""
-
-    __slots__ = ("node_count", "universe", "_bits")
-
-    def __init__(self, node_count: int, universe: int) -> None:
-        self.node_count = node_count
-        self.universe = universe
-        self._bits = np.zeros((node_count, max(universe, 1)), dtype=bool)
-
-    @classmethod
-    def for_space(cls, space: FactSpace) -> "BooleanMatrixStore":
-        """Store sized for a method's pre-determined fact space."""
-        return cls(len(space.method.statements), space.fact_universe)
-
-    # -- mutation -------------------------------------------------------------
-
-    def insert_all(self, node: int, facts: Iterable[int]) -> bool:
-        """Mark facts at ``node``; True when any cell flipped 0 -> 1."""
-        row = self._bits[node]
-        indices = facts if isinstance(facts, (list, tuple)) else list(facts)
-        if not indices:
-            return False
-        selected = row[indices]
-        if selected.all():
-            return False
-        row[indices] = True
-        return True
-
-    def replace(self, node: int, facts: Iterable[int]) -> None:
-        """Overwrite ``node``'s facts with exactly ``facts``."""
-        row = self._bits[node]
-        row[:] = False
-        indices = list(facts)
-        if indices:
-            row[indices] = True
-
-    # -- queries --------------------------------------------------------------
-
-    def get(self, node: int) -> Set[int]:
-        """The fact set stored for ``node``."""
-        return set(np.flatnonzero(self._bits[node]).tolist())
-
-    def size(self, node: int) -> int:
-        """Number of facts stored for ``node``."""
-        return int(self._bits[node].sum())
-
-    def contains(self, node: int, fact: int) -> bool:
-        """Membership test for one (node, fact) pair."""
-        return bool(self._bits[node, fact])
-
-    def snapshot(self) -> Tuple[FrozenSet[int], ...]:
-        """Immutable per-node copy of all stored facts."""
-        return tuple(
-            frozenset(np.flatnonzero(self._bits[node]).tolist())
-            for node in range(self.node_count)
-        )
-
-    def total_fact_count(self) -> int:
-        """Total facts across all nodes."""
-        return int(self._bits.sum())
-
-    def memory_bytes(self) -> int:
-        """Modeled device footprint at 1 bit per (node, cell)."""
-        return (self.universe * self.node_count + 7) // 8
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"BooleanMatrixStore({self.node_count} nodes x "
-            f"{self.universe} cells, {self.total_fact_count()} facts)"
         )

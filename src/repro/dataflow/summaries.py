@@ -75,13 +75,11 @@ class MethodSummary:
         """What a caller's fact space must contain to apply this summary.
 
         The summary is immutable, so the footprint is computed once and
-        memoized on the instance (host-perf mode): every block of every
-        layer re-resolves its callees' footprints on the hot path.
+        memoized on the instance: every block of every layer re-resolves
+        its callees' footprints on the hot path.
         """
-        from repro.perf import host_perf_enabled
-
         cached = self.__dict__.get("_footprint")
-        if cached is not None and host_perf_enabled():
+        if cached is not None:
             return cached
         globals_touched = set(self.globals_read) | set(self.global_writes)
         globals_touched |= self.return_globals

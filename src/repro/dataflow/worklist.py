@@ -5,6 +5,12 @@ node popped and processed at a time, facts propagated to successors,
 updated successors re-enqueued, until the fixed point.  Every GPU
 variant must produce identical per-node facts.
 
+The oracle (:meth:`SequentialWorklist.run`) evaluates the set-based
+:class:`TransferFunctions` only, so it shares no transfer code with the
+block runner's int-mask dynamics.  :meth:`SequentialWorklist.run_masked`
+walks the same trajectory on ``MaskTransfer`` masks; the incremental
+re-analysis' miss path runs it.
+
 :func:`analyze_app_reference` drives the whole-app pipeline:
 environment synthesis, call-graph layering, bottom-up SBDA summary
 construction (iterating recursive SCCs to their joint fixed point),
@@ -14,11 +20,11 @@ and one per-method fixed-point run, yielding the :class:`IDFG`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Set
 
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
-from repro.cfg.intra import IntraCFG, build_intra_cfg
+from repro.cfg.intra import build_intra_cfg
 from repro.dataflow.bitset import mask_to_frozenset
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import IDFG, MethodFacts
@@ -27,7 +33,6 @@ from repro.dataflow.summaries import MethodSummary, SummaryBuilder
 from repro.dataflow.transfer import MaskTransfer, TransferFunctions
 from repro.ir.app import AndroidApp
 from repro.ir.method import Method
-from repro.perf import host_perf_enabled
 
 
 class SequentialWorklist:
@@ -55,13 +60,10 @@ class SequentialWorklist:
         self.iterations = 0
 
     def run(self) -> MethodFacts:
-        """Run to the fixed point and package the results."""
+        """Run to the fixed point over fact sets and package the results."""
         method = self.cfg.method
         if not method.statements:
             return MethodFacts(space=self.space, node_facts=(), exit_facts=frozenset())
-        if host_perf_enabled():
-            return self._run_masked()
-
         self.store.replace(0, self.space.entry_facts())
         worklist = deque([0])
         queued = {0}
@@ -95,15 +97,17 @@ class SequentialWorklist:
             exit_facts=frozenset(exit_out),
         )
 
-    def _run_masked(self) -> MethodFacts:
+    def run_masked(self) -> MethodFacts:
         """Alg. 1 over int bitsets: same trajectory, batched set unions.
 
-        The worklist discipline is identical to the set-based loop --
-        a successor is (re)queued exactly when ``out & ~succ`` is
+        The worklist discipline is identical to :meth:`run` -- a
+        successor is (re)queued exactly when ``out & ~succ`` is
         non-zero -- so visit counts and the fixed point match the
         oracle bit for bit; only the per-fact set churn is replaced by
         whole-set mask operations.
         """
+        if not self.cfg.method.statements:
+            return MethodFacts(space=self.space, node_facts=(), exit_facts=frozenset())
         masked = MaskTransfer(self.transfer)
         facts = [0] * len(self.cfg.method.statements)
         facts[0] = masked.entry_mask()

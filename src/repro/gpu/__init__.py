@@ -32,7 +32,7 @@ from repro.gpu.kernel import BlockCost, KernelCost, schedule_blocks
 from repro.gpu.memory import MemoryModel, transactions_for_addresses
 from repro.gpu.sim import GPUDevice
 from repro.gpu.spec import CostTable, GPUSpec, TESLA_P40
-from repro.gpu.timeline import export_chrome_trace, kernel_timeline_events
+from repro.gpu.timeline import kernel_timeline_events
 from repro.gpu.transfer import DualBufferSchedule, TransferEngine
 from repro.gpu.warp import WarpExecution, execute_warp
 
@@ -52,7 +52,6 @@ __all__ = [
     "WarpExecution",
     "block_shared_bytes",
     "execute_warp",
-    "export_chrome_trace",
     "kernel_counters",
     "occupancy",
     "run_counters",

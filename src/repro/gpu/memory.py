@@ -10,12 +10,9 @@ distinct segment is one transaction.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Iterable, Sequence, Set
 
 from repro.gpu.spec import GPUSpec, TESLA_P40
-from repro.perf import host_perf_enabled
 
 
 def transactions_for_addresses(
@@ -26,40 +23,10 @@ def transactions_for_addresses(
     """Number of 128B transactions needed to serve the given accesses.
 
     ``addresses`` are lane byte addresses; an access of ``access_bytes``
-    starting near a segment boundary may straddle two segments.
+    starting near a segment boundary may straddle two segments.  Every
+    segment an access covers is walked, one address at a time; this is
+    the reference that :meth:`MemoryModel.access` is checked against.
     """
-    if host_perf_enabled() and access_bytes <= segment_bytes:
-        # An access no wider than a segment touches its first segment
-        # and at most the next one: the distinct-segment count is the
-        # cardinality of {first} | {last}, no per-address range walk.
-        if not isinstance(addresses, (list, tuple, np.ndarray)):
-            addresses = list(addresses)
-        if isinstance(addresses, np.ndarray):
-            span = max(access_bytes, 1) - 1
-            firsts = addresses // segment_bytes
-            if span:
-                lasts = (addresses + span) // segment_bytes
-                return int(
-                    np.union1d(firsts, lasts).size
-                )
-            return int(np.unique(firsts).size)
-        last_offset = max(access_bytes, 1) - 1
-        segments = {address // segment_bytes for address in addresses}
-        if last_offset:
-            segments.update(
-                (address + last_offset) // segment_bytes
-                for address in addresses
-            )
-        return len(segments)
-    return _transactions_scalar(addresses, access_bytes, segment_bytes)
-
-
-def _transactions_scalar(
-    addresses: Iterable[int],
-    access_bytes: int = 4,
-    segment_bytes: int = 128,
-) -> int:
-    """The seed's per-address segment walk (baseline / wide accesses)."""
     segments: Set[int] = set()
     for address in addresses:
         first = address // segment_bytes
@@ -110,10 +77,11 @@ class MemoryModel:
             return 0
         base = self.region_base(region)
         segment_bytes = self.spec.memory_segment_bytes
-        if host_perf_enabled() and element_bytes <= segment_bytes:
-            # Same {first} | {last} segment counting as
-            # :func:`transactions_for_addresses`, minus the
-            # intermediate per-lane address list.
+        if element_bytes <= segment_bytes:
+            # An access no wider than a segment touches its first
+            # segment and at most the next one: the distinct-segment
+            # count is the cardinality of {first} | {last}, with no
+            # per-address range walk.
             span = max(element_bytes, 1) - 1
             segments = {
                 (base + index * element_bytes) // segment_bytes

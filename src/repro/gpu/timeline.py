@@ -1,16 +1,16 @@
-"""Kernel timeline export in Chrome trace-event format.
+"""Kernel timeline in Chrome trace-event format.
 
 Loads into ``chrome://tracing`` / Perfetto: one row per SM slot, one
 span per thread block, with the per-bottleneck cycle breakdown attached
 as span arguments.  Gives the simulated executions the same
-inspectability a real CUDA profile would have.
+inspectability a real CUDA profile would have.  The events are written
+by :func:`repro.obs.export.write_chrome_trace`, the one trace writer.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.gpu.kernel import BlockCost, KernelCost
 from repro.gpu.spec import GPUSpec, TESLA_P40
@@ -81,21 +81,3 @@ def kernel_timeline_events(
             )
         cursor = body_start + kernel.makespan_cycles
     return events
-
-
-def export_chrome_trace(
-    kernels: Sequence[KernelCost],
-    path: str,
-    spec: GPUSpec = TESLA_P40,
-    blocks_per_sm: int = 4,
-) -> int:
-    """Write a chrome://tracing JSON file; returns the event count."""
-    events = kernel_timeline_events(kernels, spec, blocks_per_sm)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": {"device": spec.name, "source": "repro.gpu simulator"},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-    return len(events)

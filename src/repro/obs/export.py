@@ -11,6 +11,10 @@ Two serialisations of the same span log:
   ``chrome://tracing`` / Perfetto: one complete ("X") event per span on
   a per-worker thread lane, counters as trailing "C" events, and "M"
   metadata events naming the process and lanes.
+
+:func:`write_chrome_trace` writes any trace-event list as one such
+document; the simulated kernel schedule
+(:func:`repro.gpu.timeline.kernel_timeline_events`) goes through it too.
 """
 
 from __future__ import annotations
@@ -82,27 +86,43 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     return events
 
 
-def chrome_trace_document(
-    tracer: Tracer, metadata: Optional[Dict[str, Any]] = None
+def _trace_document(
+    events: List[Dict[str, Any]], metadata: Optional[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """The full ``chrome://tracing`` JSON document."""
     document_metadata = {"source": "repro.obs", "version": repro.__version__}
     if metadata:
         document_metadata.update(metadata)
     return {
-        "traceEvents": chrome_trace_events(tracer),
+        "traceEvents": events,
         "displayTimeUnit": "ms",
         "metadata": document_metadata,
     }
 
 
+def chrome_trace_document(
+    tracer: Tracer, metadata: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """The full ``chrome://tracing`` JSON document."""
+    return _trace_document(chrome_trace_events(tracer), metadata)
+
+
+def write_chrome_trace(
+    events: List[Dict[str, Any]],
+    path: str,
+    metadata: Optional[Dict[str, Any]] = None,
+) -> int:
+    """Write ``events`` as one Chrome-trace JSON document; returns the
+    event count.  ``metadata`` entries override the document's
+    ``source`` and ``version``."""
+    Path(path).write_text(json.dumps(_trace_document(events, metadata)))
+    return len(events)
+
+
 def export_chrome_trace(
     tracer: Tracer, path: str, metadata: Optional[Dict[str, Any]] = None
 ) -> int:
-    """Write the Chrome-trace JSON; returns the event count."""
-    document = chrome_trace_document(tracer, metadata)
-    Path(path).write_text(json.dumps(document))
-    return len(document["traceEvents"])
+    """Write the tracer's Chrome-trace JSON; returns the event count."""
+    return write_chrome_trace(chrome_trace_events(tracer), path, metadata)
 
 
 def run_ledger(

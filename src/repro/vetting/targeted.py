@@ -8,8 +8,8 @@ security APIs of interest first, then analyze only the program slice
 that can reach them.  This module is that pipeline:
 
 1. **Pre-scan** -- :func:`scan_blob` does a raw substring search over
-   a packed ``.gdx`` container (both GDX1 concrete syntax and GDX2
-   pooled bytecode intern callee signatures as UTF-8 strings), and
+   a packed ``.gdx`` container (its statements are stored in concrete
+   syntax, callee signatures as UTF-8 strings), and
    :func:`find_anchors` walks the parsed IR for the precise call sites
    of the requested sink signatures.  No IDFG, no fixpoint.
 2. **Backward slice** -- :func:`backward_slice` closes the anchor
@@ -155,10 +155,9 @@ class Anchor:
 def scan_blob(blob: bytes, spec: TargetSpec) -> Tuple[str, ...]:
     """Sink signatures of ``spec`` present in a packed ``.gdx`` blob.
 
-    A raw substring search: GDX1 stores statements in concrete syntax
-    and GDX2 interns callee signatures in its string pool, so a sink's
-    UTF-8 bytes appear in the container iff some statement (or pooled
-    string) references it.  The scan never misses a real call site; a
+    A raw substring search: the container stores statements in
+    concrete syntax, so a sink's UTF-8 bytes appear in it iff some
+    statement references it.  The scan never misses a real call site; a
     hit only means the precise IR scan (:func:`find_anchors`) is worth
     running.  An app whose blob contains none of the targets can skip
     parsing and analysis entirely.

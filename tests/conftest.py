@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.apk.generator import AppGenerator, GeneratorProfile
@@ -129,3 +131,23 @@ def ddg_builds(monkeypatch):
 
     monkeypatch.setattr(ddg, "build_method_ddg", counting)
     return built
+
+
+@contextmanager
+def seed_path():
+    """Run the seed's composition inside the ``with`` body.
+
+    The block runner takes the per-element set dynamics and pricing
+    takes the per-visit replay: the references that the mask dynamics
+    and the vectorized pass must match bit for bit.
+    """
+    from repro.core import costing
+    from repro.core.blockexec import BlockRunner
+
+    def set_dynamics(runner, states, merging, trace, transfers):
+        return runner._run_dynamics_sets(states, merging, trace)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BlockRunner, "_run_dynamics", set_dynamics)
+        patch.setattr(costing, "_vectorized_exact", lambda config: False)
+        yield

@@ -16,8 +16,7 @@ from repro.core.blocks import BlockAssignment, partition_layers
 from repro.core.config import TuningParameters
 from repro.core.engine import AppWorkload
 from repro.dataflow.worklist import analyze_app_reference
-from repro.perf import host_perf
-from tests.conftest import tiny_app
+from tests.conftest import seed_path, tiny_app
 
 
 def run_blocks(app, record_mer=True):
@@ -164,9 +163,8 @@ def assert_traces_match_seed_dynamics(app):
     """Memoized mask dynamics vs the seed's set dynamics, column for
     column, for both runs of every block; returns the most summary
     rounds any block needed."""
-    with host_perf(True):
-        fast = run_blocks(app)
-    with host_perf(False):
+    fast = run_blocks(app)
+    with seed_path():
         reference = run_blocks(app)
     assert len(fast) == len(reference)
     for got, want in zip(fast, reference):
@@ -199,7 +197,6 @@ def test_memo_traces_match_seed_dynamics(seed):
     assert_traces_match_seed_dynamics(tiny_app(seed))
 
 
-@host_perf(True)
 def test_transfer_counts_in_run_ledger(demo_app):
     """``block.transfer_evals`` / ``block.transfer_memo_hits`` repeat
     exactly, and the MER run reuses the sync run's transfers (the mask

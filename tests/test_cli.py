@@ -77,6 +77,48 @@ def test_tune(gdx_path, capsys):
     assert "optimum" in captured
 
 
+# -- unreadable containers ------------------------------------------------------
+
+#: Each command that reads a ``.gdx``, given the bad file and a good one.
+BAD_INPUT_COMMANDS = {
+    "analyze": lambda bad, good: ["analyze", bad],
+    "lint": lambda bad, good: ["lint", good, bad],
+    "tune": lambda bad, good: ["tune", bad],
+    "vet": lambda bad, good: ["vet", bad],
+    "vet-targets": lambda bad, good: ["vet", bad, "--targets", "SMS"],
+    "vet-new-version": lambda bad, good: ["vet", bad, "--baseline", good],
+    "vet-baseline": lambda bad, good: ["vet", good, "--baseline", bad],
+}
+
+#: How each bad file is made from a good container, and the reason the
+#: error line must give.
+BAD_CONTAINERS = {
+    "bad-magic": (lambda blob: b"NOPE" + blob[4:], "bad magic"),
+    "gdx2": (lambda blob: b"GDX2" + blob[4:], "bad magic"),
+    "truncated": (lambda blob: blob[: len(blob) // 2], "truncated"),
+    "missing": (None, "No such file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONTAINERS))
+@pytest.mark.parametrize("command", sorted(BAD_INPUT_COMMANDS))
+def test_bad_container_is_rejected_the_same_way(
+    command, case, gdx_path, tmp_path, capsys, monkeypatch
+):
+    """``error: PATH: message`` and exit 2, never a traceback.  The
+    error line is checked too: a leaky verdict also exits 2."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    bad = tmp_path / f"{case}.gdx"
+    corrupt, reason = BAD_CONTAINERS[case]
+    if corrupt is not None:
+        with open(gdx_path, "rb") as handle:
+            bad.write_bytes(corrupt(handle.read()))
+    assert main(BAD_INPUT_COMMANDS[command](str(bad), gdx_path)) == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert line.startswith("error: ") and f"{bad}: " in line
+    assert reason in line
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

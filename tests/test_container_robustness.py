@@ -1,43 +1,33 @@
 """Container robustness: corrupted inputs fail cleanly, never crash.
 
-A vetting queue ingests untrusted bytes; both container formats must
-reject malformed input with their documented error types (and never
-with, say, a struct.error or unbounded allocation from a hostile
-length prefix reaching the parser)."""
+A vetting queue ingests untrusted bytes; the container must reject
+malformed input with its documented error types (and never with, say,
+a struct.error or unbounded allocation from a hostile length prefix
+reaching the parser)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apk.bytecode import BytecodeError
 from repro.apk.dex import GdxFormatError, pack_app
 from repro.apk.dex import unpack_app
-from repro.apk.dex2 import pack_app_v2
 from repro.ir.parser import IRSyntaxError
 from tests.conftest import tiny_app
 
 #: The error types the loaders are allowed to raise on bad input.
-ACCEPTABLE = (GdxFormatError, BytecodeError, IRSyntaxError, ValueError, MemoryError)
+ACCEPTABLE = (GdxFormatError, IRSyntaxError, ValueError, MemoryError)
 
 
 @pytest.fixture(scope="module")
-def blobs():
-    app = tiny_app(3)
-    return pack_app(app), pack_app_v2(app)
+def blob():
+    return pack_app(tiny_app(3))
 
 
 class TestTruncation:
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 0.99])
-    def test_truncated_v1(self, blobs, fraction):
-        v1, _ = blobs
+    def test_truncated_v1(self, blob, fraction):
         with pytest.raises(ACCEPTABLE):
-            unpack_app(v1[: int(len(v1) * fraction)])
-
-    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 0.99])
-    def test_truncated_v2(self, blobs, fraction):
-        _, v2 = blobs
-        with pytest.raises(ACCEPTABLE):
-            unpack_app(v2[: int(len(v2) * fraction)])
+            unpack_app(blob[: int(len(blob) * fraction)])
 
 
 class TestCorruption:
@@ -45,16 +35,15 @@ class TestCorruption:
     @given(
         offset_fraction=st.floats(min_value=0.0, max_value=0.999),
         value=st.integers(min_value=0, max_value=255),
-        which=st.sampled_from(["v1", "v2"]),
     )
-    def test_single_byte_flips(self, blobs, offset_fraction, value, which):
+    def test_single_byte_flips(self, blob, offset_fraction, value):
         """Property: one flipped byte either still parses (benign spot,
         e.g. inside a string) or raises a documented error type."""
-        blob = bytearray(blobs[0] if which == "v1" else blobs[1])
-        offset = int(len(blob) * offset_fraction)
-        blob[offset] = value
+        corrupted = bytearray(blob)
+        offset = int(len(corrupted) * offset_fraction)
+        corrupted[offset] = value
         try:
-            unpack_app(bytes(blob))
+            unpack_app(bytes(corrupted))
         except ACCEPTABLE:
             pass  # clean rejection
 

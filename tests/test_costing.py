@@ -23,8 +23,7 @@ from repro.core.plain_kernel import price_plain_block
 from repro.core.trace import TraceColumns
 from repro.dataflow.lattice import GROWTH_FACTOR, INITIAL_CAPACITY
 from repro.gpu.spec import DEFAULT_COSTS, CostTable
-from repro.perf import host_perf
-from tests.conftest import tiny_app
+from tests.conftest import seed_path, tiny_app
 
 
 @pytest.fixture
@@ -289,14 +288,12 @@ class TestVectorizedPricing:
             raise AssertionError("the vectorized pass priced an inexact table")
 
         monkeypatch.setattr(costing, "_price_columns", unreachable)
-        with host_perf(True):
-            assert price_traces(columns, config) == expected
+        assert price_traces(columns, config) == expected
 
     def test_engine_prices_from_the_pass(self, priced_workload):
         config = GDroidConfig.all_optimizations()
-        with host_perf(True):
-            fast = GDroid(config).price(priced_workload)
-        with host_perf(False):
+        fast = GDroid(config).price(priced_workload)
+        with seed_path():
             slow = GDroid(config).price(priced_workload)
         assert fast.kernels == slow.kernels
         assert fast.kernel_cycles == slow.kernel_cycles

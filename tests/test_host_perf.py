@@ -1,10 +1,11 @@
 """Host-side performance layer: bit-exactness and cache/parallel tests.
 
-The packed-bitset store, masked dynamics, fused pricing, parallel
+The packed-bitset store, masked dynamics, vectorized pricing, parallel
 corpus pipeline and on-disk cache are all *transparent* accelerations:
 every observable number -- per-node fact sets, traces, and modeled
 cycle counts -- must be identical to the seed implementation's.  These
-tests pin that contract.
+tests pin that contract against the references the fast paths replace
+(patched in with :func:`tests.conftest.seed_path`).
 """
 
 import dataclasses
@@ -27,11 +28,12 @@ from repro.dataflow.bitset import (
     unpack_indices,
     words_for,
 )
-from repro.dataflow.matrix_store import BooleanMatrixStore, MatrixFactStore
-from repro.dataflow.transfer import MaskTransfer, TransferFunctions
+from repro.cfg.environment import app_with_environments
+from repro.dataflow.matrix_store import MatrixFactStore
+from repro.dataflow.transfer import MaskTransfer
 from repro.dataflow.worklist import SequentialWorklist, analyze_app_reference
-from repro.gpu.memory import transactions_for_addresses, _transactions_scalar
-from repro.perf import host_perf, host_perf_enabled, set_host_perf
+from repro.gpu.memory import MemoryModel, transactions_for_addresses
+from tests.conftest import seed_path
 
 
 @pytest.fixture()
@@ -54,7 +56,7 @@ def test_pack_unpack_roundtrip(indices):
     assert list(iter_bits(mask)) == sorted(set(indices))
 
 
-# -- the three fact stores ----------------------------------------------------
+# -- the fact stores -----------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,20 +70,18 @@ def test_pack_unpack_roundtrip(indices):
     )
 )
 def test_packed_boolean_set_stores_agree(ops):
-    """Packed uint64 rows vs boolean rows vs plain sets, op by op."""
+    """Packed uint64 rows vs plain sets, op by op."""
     packed = MatrixFactStore(4, 150)
-    boolean = BooleanMatrixStore(4, 150)
     shadow = [set() for _ in range(4)]
     for node, facts in ops:
         grew = len(set(facts) - shadow[node]) > 0
         assert packed.insert_all(node, facts) == grew
-        assert boolean.insert_all(node, facts) == grew
         shadow[node] |= set(facts)
     for node in range(4):
-        assert packed.get(node) == boolean.get(node) == shadow[node]
-        assert packed.size(node) == boolean.size(node) == len(shadow[node])
-    assert packed.snapshot() == boolean.snapshot()
-    assert packed.memory_bytes() == boolean.memory_bytes()
+        assert packed.get(node) == shadow[node]
+        assert packed.size(node) == len(shadow[node])
+    assert packed.snapshot() == tuple(frozenset(facts) for facts in shadow)
+    assert packed.memory_bytes() == (150 * 4 + 7) // 8
 
 
 def test_single_fact_fast_path_reports_growth():
@@ -107,15 +107,41 @@ def test_mask_transfer_matches_set_transfer(app):
 
 
 def test_masked_worklist_matches_legacy_oracle(app):
-    with host_perf(False):
-        legacy = analyze_app_reference(app)
-    with host_perf(True):
-        fast = analyze_app_reference(app)
-    assert set(legacy.method_facts) == set(fast.method_facts)
-    for signature, reference in legacy.method_facts.items():
-        assert fast.method_facts[signature].node_facts == reference.node_facts
-        assert fast.method_facts[signature].exit_facts == reference.exit_facts
-    assert legacy.summaries == fast.summaries
+    """The mask loop walks the set loop's trajectory, method by method."""
+    analyzed = app_with_environments(app)
+    summaries = analyze_app_reference(analyzed, with_environments=False).summaries
+    for method in analyzed.methods:
+        oracle = SequentialWorklist(method, summaries)
+        masked = SequentialWorklist(method, summaries)
+        reference = oracle.run()
+        fast = masked.run_masked()
+        assert fast.node_facts == reference.node_facts
+        assert fast.exit_facts == reference.exit_facts
+        assert (masked.visits, masked.iterations) == (
+            oracle.visits,
+            oracle.iterations,
+        )
+
+
+def test_oracle_runs_no_mask_code(app, monkeypatch, tmp_path):
+    """The CPU reference evaluates set transfers only, so the block
+    runner's mask code cannot agree with it by sharing a defect; the
+    incremental miss path is the one worklist caller on masks."""
+    from repro.dataflow.incremental import MethodSummaryStore, analyze_app_incremental
+
+    expected = analyze_app_reference(app)
+    mask_calls = []
+
+    def forbidden(*args):
+        mask_calls.append(args)
+        raise AssertionError("the oracle called MaskTransfer")
+
+    monkeypatch.setattr(MaskTransfer, "out_mask", forbidden)
+    monkeypatch.setattr(MaskTransfer, "entry_mask", forbidden)
+    assert analyze_app_reference(app).equivalent_to(expected)
+    assert not mask_calls
+    with pytest.raises(AssertionError, match="MaskTransfer"):
+        analyze_app_incremental(app, MethodSummaryStore(root=tmp_path))
 
 
 # -- memory transaction model -------------------------------------------------
@@ -123,15 +149,21 @@ def test_masked_worklist_matches_legacy_oracle(app):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    addresses=st.lists(
+    indices=st.lists(
         st.integers(min_value=0, max_value=4096), min_size=1, max_size=32
     ),
-    access_bytes=st.integers(min_value=1, max_value=128),
+    element_bytes=st.integers(min_value=1, max_value=128),
+    region=st.integers(min_value=0, max_value=3),
 )
-def test_transactions_fast_equals_scalar(addresses, access_bytes):
-    fast = transactions_for_addresses(addresses, access_bytes)
-    scalar = _transactions_scalar(addresses, access_bytes)
-    assert fast == scalar
+def test_transactions_fast_equals_scalar(indices, element_bytes, region):
+    """``MemoryModel.access``'s first/last-segment count vs the walk."""
+    model = MemoryModel()
+    base = model.region_base(region)
+    addresses = [base + index * element_bytes for index in indices]
+    scalar = transactions_for_addresses(
+        addresses, element_bytes, model.spec.memory_segment_bytes
+    )
+    assert model.access(region, indices, element_bytes) == scalar
 
 
 # -- end-to-end bit-exactness -------------------------------------------------
@@ -145,10 +177,9 @@ def test_evaluate_app_bit_exact_vs_seed_path(app):
     worklist profile -- any drift in facts, traces or accumulation
     order shows up here.
     """
-    with host_perf(False):
+    with seed_path():
         legacy = harness.evaluate_app(app)
-    with host_perf(True):
-        fast = harness.evaluate_app(app)
+    fast = harness.evaluate_app(app)
     assert fast == legacy
 
 
@@ -259,14 +290,3 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     (tmp_path / f"{key}.json").write_text("{not json")
     assert cache.load(key) is None
     assert cache.misses == 1
-
-
-# -- the switch itself --------------------------------------------------------
-
-
-def test_host_perf_toggle_restores_state():
-    before = host_perf_enabled()
-    with host_perf(not before):
-        assert host_perf_enabled() is (not before)
-    assert host_perf_enabled() is before
-    set_host_perf(before)

@@ -2,8 +2,8 @@
 
 Complements :mod:`tests.test_container_robustness` (random flips over a
 generated app) with an *exhaustive* single-byte sweep over a minimal
-hand-built blob -- every byte position of both container formats is
-corrupted once -- plus targeted checks that the structured error types
+hand-built blob -- every byte position of the container is corrupted
+once -- plus targeted checks that the structured error types
 carry their promised context (byte offset / line number).
 """
 
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apk.bytecode import BytecodeError
 from repro.apk.dex import GdxFormatError, pack_app, unpack_app
-from repro.apk.dex2 import pack_app_v2, unpack_app_v2
 from repro.ir.parser import (
     IRSyntaxError,
     parse_app,
@@ -22,7 +20,7 @@ from repro.ir.parser import (
 )
 
 #: Mirrors tests.test_container_robustness.ACCEPTABLE.
-ACCEPTABLE = (GdxFormatError, BytecodeError, IRSyntaxError, ValueError, MemoryError)
+ACCEPTABLE = (GdxFormatError, IRSyntaxError, ValueError, MemoryError)
 
 #: Small but complete: global, component with callbacks, two methods,
 #: an exception handler, internal and external calls.
@@ -56,12 +54,12 @@ def minimal_app():
 
 
 @pytest.fixture(scope="module")
-def minimal_blobs(minimal_app):
-    return pack_app(minimal_app), pack_app_v2(minimal_app)
+def minimal_blob(minimal_app):
+    return pack_app(minimal_app)
 
 
 class TestExhaustiveByteFlips:
-    """Flip EVERY byte of the minimal blobs once; never crash raw."""
+    """Flip EVERY byte of the minimal blob once; never crash raw."""
 
     def _sweep(self, blob: bytes) -> int:
         rejected = 0
@@ -74,35 +72,19 @@ class TestExhaustiveByteFlips:
                 rejected += 1
         return rejected
 
-    def test_every_v1_byte(self, minimal_blobs):
-        v1, _ = minimal_blobs
-        rejected = self._sweep(v1)
+    def test_every_v1_byte(self, minimal_blob):
+        rejected = self._sweep(minimal_blob)
         assert rejected > 0  # the sweep does reach rejecting positions
-
-    def test_every_v2_byte(self, minimal_blobs):
-        _, v2 = minimal_blobs
-        rejected = self._sweep(v2)
-        assert rejected > 0
 
 
 class TestStructuredContainerErrors:
-    def test_v1_bad_descriptor_carries_offset(self, minimal_blobs):
-        v1, _ = minimal_blobs
-        corrupted = v1.replace(b"Ljava/lang/Object;", b"Qjava/lang/Object;", 1)
+    def test_v1_bad_descriptor_carries_offset(self, minimal_blob):
+        corrupted = minimal_blob.replace(
+            b"Ljava/lang/Object;", b"Qjava/lang/Object;", 1
+        )
         with pytest.raises(GdxFormatError) as excinfo:
             unpack_app(corrupted)
         assert "offset" in str(excinfo.value)
-
-    def test_v2_bad_descriptor_carries_offset(self, minimal_blobs):
-        _, v2 = minimal_blobs
-        corrupted = v2.replace(b"Ljava/lang/Object;", b"Qjava/lang/Object;", 1)
-        with pytest.raises(BytecodeError) as excinfo:
-            unpack_app_v2(corrupted)
-        assert "offset" in str(excinfo.value)
-
-    def test_v2_roundtrips_cleanly(self, minimal_app, minimal_blobs):
-        _, v2 = minimal_blobs
-        assert unpack_app_v2(v2).package == minimal_app.package
 
 
 class TestStructuredTextErrors:

@@ -11,7 +11,7 @@ from repro.dataflow.lattice import (
     SET_HEADER_BYTES,
     SetFactStore,
 )
-from repro.dataflow.matrix_store import BooleanMatrixStore, MatrixFactStore
+from repro.dataflow.matrix_store import MatrixFactStore
 
 
 class TestSetFactStore:
@@ -102,23 +102,17 @@ class TestMatrixFactStore:
     )
 )
 def test_stores_equivalent_under_any_op_sequence(ops):
-    """Property: all three stores expose identical fact sets and flags.
+    """Property: both stores expose identical fact sets and flags.
 
     This is the functional heart of the MAT optimization: swapping the
-    data structure -- dynamic sets, the seed's boolean matrix, or the
-    packed uint64 bitset matrix -- must never change the analysis
-    outcome.
+    data structure -- dynamic sets or the packed uint64 bitset matrix
+    -- must never change the analysis outcome.
     """
     set_store = SetFactStore(5)
     mat_store = MatrixFactStore(5, 30)
-    bool_store = BooleanMatrixStore(5, 30)
     for node, facts in ops:
         grew_set = set_store.insert_all(node, facts)
         grew_mat = mat_store.insert_all(node, facts)
-        grew_bool = bool_store.insert_all(node, facts)
-        assert grew_set == grew_mat == grew_bool
+        assert grew_set == grew_mat
     assert set_store.snapshot() == mat_store.snapshot()
-    assert mat_store.snapshot() == bool_store.snapshot()
     assert set_store.total_fact_count() == mat_store.total_fact_count()
-    assert mat_store.total_fact_count() == bool_store.total_fact_count()
-    assert mat_store.memory_bytes() == bool_store.memory_bytes()

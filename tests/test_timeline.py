@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.config import GDroidConfig
 from repro.core.engine import AppWorkload, GDroid
-from repro.gpu.timeline import export_chrome_trace, kernel_timeline_events
+from repro.gpu.spec import TESLA_P40
+from repro.gpu.timeline import kernel_timeline_events
+from repro.obs.export import write_chrome_trace
 from tests.conftest import tiny_app
 
 
@@ -54,8 +56,10 @@ class TestTimeline:
 
     def test_export_writes_valid_json(self, priced, tmp_path):
         path = tmp_path / "trace.json"
-        count = export_chrome_trace(priced.kernels, str(path))
+        events = kernel_timeline_events(priced.kernels)
+        count = write_chrome_trace(events, str(path), {"device": TESLA_P40.name})
         document = json.loads(path.read_text())
+        assert document["traceEvents"] == events
         assert len(document["traceEvents"]) == count
         assert document["metadata"]["device"].startswith("NVIDIA")
         args = document["traceEvents"][-1].get("args", {})
