@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.app import AndroidApp, GlobalField
@@ -72,7 +72,6 @@ from repro.ir.types import (
     JawaType,
     ObjectType,
     OBJECT,
-    STRING,
     VOID,
 )
 

@@ -9,11 +9,10 @@ to/from plain dictionaries (the ``.gdx`` container embeds it as JSON).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.ir.app import AndroidApp
-from repro.ir.component import Component, ComponentKind
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ rows the paper's prose cites.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.bench.stats import describe, sorted_descending
 

@@ -364,9 +364,6 @@ def run_pipeline(
             rejected = _lint_gate(app, index)
         if rejected is not None:
             return PipelineResult(rejected, None, None, None)
-    # A strict app already passed the gate; otherwise the build keeps
-    # its REPRO_LINT_GATE default.
-    gate = False if strict else None
     report = latency = incremental = None
     if baseline_app is not None:
         from repro.dataflow import incremental as replay
@@ -403,16 +400,14 @@ def run_pipeline(
         if targets is not None:
             from repro.vetting import targeted
 
-            built = targeted.build_targeted_workload(
-                app, targets, lint_gate=gate
-            )
+            built = targeted.build_targeted_workload(app, targets)
             analyzed, workload = built.sliced_app, built.workload
             vet_built = functools.partial(targeted.vet_targeted_report, built)
         else:
             from repro.vetting import report as reporting
 
             analyzed = app
-            workload = AppWorkload.build(app, lint_gate=gate)
+            workload = AppWorkload.build(app)
             vet_built = functools.partial(
                 reporting.vet_workload, app, workload, resolve_icc=resolve_icc
             )

@@ -15,7 +15,7 @@ layer is ``1 + max(layer of callees)`` with leaf methods at layer 0.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
 

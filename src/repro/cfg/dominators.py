@@ -12,7 +12,7 @@ the paper's Table II profiles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.cfg.intra import IntraCFG
 from repro.dataflow.iterative import reverse_post_order

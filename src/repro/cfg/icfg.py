@@ -18,7 +18,7 @@ the source of Table I's "no. of CFG Nodes".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.intra import IntraCFG, build_intra_cfg

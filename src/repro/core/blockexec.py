@@ -23,10 +23,10 @@ Recursive SCC blocks iterate whole rounds until their joint summaries
 stabilize; the recorded trace is the final round's, and
 ``summary_rounds`` tells the cost adapters how many rounds to charge.
 
-Facts stay int masks (:mod:`repro.dataflow.bitset`) from the dynamics
-to the end of the block: the two fixed points are compared as masks,
-exit facts come from ``MaskTransfer.out_mask``, and each distinct mask
-becomes a frozenset once, when the :class:`MethodFacts` are built.
+Facts stay int masks -- MAT rows (:mod:`repro.dataflow.bitset`) --
+from the dynamics to the verdict: the two fixed points are compared as
+masks, exit facts come from ``MaskTransfer.out_mask``, and the
+:class:`MethodFacts` hold the rows the sync run computed.
 Within a summary round a transfer is a pure function of (node, IN
 mask), so the sync and MER runs share one memo of the transfers that
 walk points-to sets (:class:`_RoundTransfers`).
@@ -35,19 +35,9 @@ walk points-to sets (:class:`_RoundTransfers`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.cfg.intra import IntraCFG, build_intra_cfg
+from repro.cfg.intra import build_intra_cfg
 from repro.core.blocks import BlockAssignment
 from repro.core.grouping import (
     access_group,
@@ -55,7 +45,7 @@ from repro.core.grouping import (
     grouped_storage_order,
 )
 from repro.core.trace import BlockTrace, NodeMeta
-from repro.dataflow.bitset import bit_indices, mask_from, mask_to_frozenset
+from repro.dataflow.bitset import mask_from
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
@@ -544,7 +534,7 @@ class BlockRunner:
                 exit_masks[state.signature] = exit_mask
                 new_summaries[state.signature] = SummaryBuilder(
                     state.space
-                ).build(bit_indices(exit_mask))
+                ).build(exit_mask)
 
             if not self._is_scc:
                 break
@@ -581,23 +571,14 @@ class BlockRunner:
         self.transfer_evals = evals + transfers.evals
         self.transfer_memo_hits = hits + transfers.hits
 
-        # Nodes often share an IN mask: convert each distinct one once.
-        frozen: Dict[int, FrozenSet[int]] = {}
-
-        def as_set(mask: int) -> FrozenSet[int]:
-            facts_set = frozen.get(mask)
-            if facts_set is None:
-                facts_set = frozen[mask] = mask_to_frozenset(mask)
-            return facts_set
-
         method_facts: Dict[str, MethodFacts] = {}
         for state in states:
             start = state.offset
             stop = start + len(state.method.statements)
             method_facts[state.signature] = MethodFacts(
                 space=state.space,
-                node_facts=tuple(as_set(mask) for mask in facts[start:stop]),
-                exit_facts=as_set(exit_masks[state.signature]),
+                node_facts=tuple(facts[start:stop]),
+                exit_facts=exit_masks[state.signature],
             )
 
         return BlockResult(

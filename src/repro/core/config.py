@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.gpu.spec import CostTable, DEFAULT_COSTS, GPUSpec, TESLA_P40
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.config import GDroidConfig
 from repro.core.trace import BlockTrace, TraceColumns
-from repro.dataflow.lattice import BYTES_PER_ENTRY, INITIAL_CAPACITY, SET_HEADER_BYTES
 from repro.gpu.kernel import BlockCost
 from repro.gpu.memory import MemoryModel
 from repro.gpu.spec import CostTable
@@ -69,12 +68,28 @@ _BLOCK_CYCLE_CONSTANTS = (
     "merge_op_cycles",
 )
 
+#: The set-based fact store (the original Amandroid data structure)
+#: keeps one dynamically sized set per ICFG node.  Its exact size
+#: cannot be foreknown, so each set gets a small pre-allocated capacity
+#: on the device and is reallocated whenever an insertion overflows it
+#: -- the paper's #1 bottleneck.  Initial per-set capacity (number of
+#: fact entries), and the growth factor used on overflow:
+INITIAL_CAPACITY = 8
+GROWTH_FACTOR = 2
+
+#: Device bytes per stored fact entry: an 8-byte packed (slot, instance)
+#: key plus hash-bucket overhead comparable to a load-factor-0.5 open
+#: addressing table.
+BYTES_PER_ENTRY = 40
+#: Fixed per-set header (size, capacity, pointer).
+SET_HEADER_BYTES = 32
+
 
 def set_capacity(size: int) -> Tuple[int, int]:
     """``(reallocations, capacity)`` of a set store that grew to ``size``.
 
     Capacity starts at :data:`INITIAL_CAPACITY` and doubles
-    (``GROWTH_FACTOR``) whenever an insert overflows it.  A node's fact
+    (:data:`GROWTH_FACTOR`) whenever an insert overflows it.  A node's fact
     set only grows, so both numbers depend on its final size alone:
     the doublings to reach ``size`` are the bit length of
     ``ceil(size / INITIAL_CAPACITY) - 1``.

@@ -16,9 +16,8 @@ simple API.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.cfg.callgraph import CallGraph, SBDALayering
@@ -60,18 +59,6 @@ class WorkloadProfile:
     def max_worklist(self) -> int:
         """Largest worklist observed (sync dynamics)."""
         return max(self.worklist_sizes_sync, default=0)
-
-
-def _lint_gate_enabled(explicit: Optional[bool]) -> bool:
-    """Strict-gate policy: explicit argument wins, else ``REPRO_LINT_GATE``."""
-    if explicit is not None:
-        return explicit
-    return os.environ.get("REPRO_LINT_GATE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
 
 
 class AppWorkload:
@@ -121,18 +108,20 @@ class AppWorkload:
         app: AndroidApp,
         tuning: Optional[TuningParameters] = None,
         record_mer: bool = True,
-        lint_gate: Optional[bool] = None,
+        lint_gate: bool = False,
     ) -> "AppWorkload":
         """Run the functional analysis and record all dynamics traces.
 
         ``lint_gate=True`` verifies the app against :mod:`repro.lint`
         first and raises :class:`repro.lint.LintError` on any
         error-severity finding, so malformed IR is rejected before it
-        can corrupt the fact pools.  The default (``None``) consults
-        the ``REPRO_LINT_GATE`` environment variable; the gate is off
-        unless that is set to a truthy value.
+        can corrupt the fact pools.  The gate is off by default; the
+        pipeline's ``strict`` option (:func:`repro.bench.harness.
+        run_pipeline`) gates before it builds and turns a rejection into
+        a row instead.  The workload's IDFG holds every node's facts as
+        MAT rows (:class:`repro.dataflow.idfg.MethodFacts`).
         """
-        if _lint_gate_enabled(lint_gate):
+        if lint_gate:
             from repro.lint import check_app
 
             with obs.span(f"lint.gate:{app.package}", category="lint"):

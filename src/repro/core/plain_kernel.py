@@ -18,8 +18,6 @@ optimization disabled.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.core.blockexec import BlockResult
 from repro.core.config import GDroidConfig
 from repro.core.costing import price_block

@@ -17,8 +17,8 @@ The model prices the same functional workload the GPU engine executes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 import heapq
 

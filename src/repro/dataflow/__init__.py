@@ -13,6 +13,10 @@ allocation sites, constants, symbolic parameter/global placeholders,
 and per-call-site opaque results.  Both pools are *pre-determined* from
 the method body plus its callees' summaries -- the property the MAT
 optimization exploits to replace dynamic sets with a fixed bit matrix.
+Every analysed node's facts are one MAT row, an int whose bit
+``slot * instance_count + instance`` is set when that fact holds
+(:mod:`repro.dataflow.bitset`); :class:`MethodFacts` holds the rows and
+:meth:`MethodFacts.instances` reads one slot of a row.
 """
 
 from repro.dataflow.concrete import ConcreteInterpreter, soundness_violations
@@ -21,8 +25,6 @@ from repro.dataflow.idfg import IDFG, MethodFacts
 from repro.dataflow.ide import IdeConstantSolver
 from repro.dataflow.ifds import IfdsSolver, IfdsFlow
 from repro.dataflow.iterative import ConventionalIterative, reverse_post_order
-from repro.dataflow.lattice import SetFactStore
-from repro.dataflow.matrix_store import MatrixFactStore
 from repro.dataflow.strings import StringConstantSolver
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
 from repro.dataflow.transfer import TransferFunctions
@@ -37,11 +39,9 @@ __all__ = [
     "IfdsFlow",
     "IfdsSolver",
     "Instance",
-    "MatrixFactStore",
     "MethodFacts",
     "MethodSummary",
     "SequentialWorklist",
-    "SetFactStore",
     "StringConstantSolver",
     "Slot",
     "SummaryBuilder",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.facts import ARRAY_FIELD
 from repro.ir.app import AndroidApp
@@ -370,7 +370,7 @@ class ConcreteInterpreter:
 def soundness_violations(
     method: Method,
     observations: Sequence[Observation],
-    node_facts: Sequence[frozenset],
+    node_facts: Sequence[int],
     space,
 ) -> List[Observation]:
     """Observations NOT covered by the static facts (should be empty).
@@ -389,6 +389,6 @@ def soundness_violations(
         if instance is None:
             continue  # not representable in this space; vacuous
         fact = space.encode(slot, instance)
-        if fact not in node_facts[observation.node]:
+        if not node_facts[observation.node] >> fact & 1:
             violations.append(observation)
     return violations

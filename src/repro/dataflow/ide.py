@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.cfg.icfg import ICFG, build_icfg
 from repro.ir.app import AndroidApp
 from repro.ir.expressions import BinaryExpr, CallRhs, LiteralExpr, UnaryExpr, VariableNameExpr
-from repro.ir.method import Method
 from repro.ir.statements import (
     AssignmentStatement,
     CallStatement,

@@ -11,32 +11,41 @@ implementations with the original IDFG").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
+from repro.dataflow.bitset import bit_indices
 from repro.dataflow.facts import FactSpace, Instance, Slot
 from repro.dataflow.summaries import MethodSummary
 
 
 @dataclass(frozen=True)
 class MethodFacts:
-    """Fixed-point facts of one method's analysis.
+    """Fixed-point facts of one method's analysis, as MAT rows.
 
-    ``node_facts[i]`` is the fact set entering statement ``i``, encoded
-    in the method's :class:`FactSpace`.  ``exit_facts`` is the union of
-    the OUT sets of all exit nodes (the summary's raw material).
+    ``node_facts[i]`` is the row entering statement ``i``: one int whose
+    bit ``slot * instance_count + instance`` is set when that fact of
+    the method's :class:`FactSpace` holds.  ``exit_facts`` is the union
+    of the OUT rows of all exit nodes (the summary's raw material).
     """
 
     space: FactSpace
-    node_facts: Tuple[FrozenSet[int], ...]
-    exit_facts: FrozenSet[int]
+    node_facts: Tuple[int, ...]
+    exit_facts: int
+
+    def instances(self, node: int, slot: int) -> int:
+        """Mask of the instances ``slot`` may point to at ``node``."""
+        count = self.space.instance_count
+        return (self.node_facts[node] >> slot * count) & ((1 << count) - 1)
 
     def decoded(self, node: int) -> FrozenSet[Tuple[Slot, Instance]]:
         """Human-readable facts of one node."""
-        return frozenset(self.space.decode_named(f) for f in self.node_facts[node])
+        return frozenset(
+            self.space.decode_named(f) for f in bit_indices(self.node_facts[node])
+        )
 
     def fact_count(self) -> int:
         """Total facts across this method's nodes."""
-        return sum(len(facts) for facts in self.node_facts)
+        return sum(row.bit_count() for row in self.node_facts)
 
 
 class IDFG:

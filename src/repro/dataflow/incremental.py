@@ -48,7 +48,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
@@ -67,19 +67,26 @@ from repro.dataflow.worklist import SequentialWorklist, _is_self_recursive
 from repro.ir.app import AndroidApp
 
 #: Bump when the store entry layout or the keying scheme changes.
-STORE_SCHEMA = 1
+#: Generation 2 stores each node's facts as its MAT row in lowercase
+#: hex, where generation 1 stored sorted fact lists.  Hex, because JSON
+#: writes ints in decimal and CPython refuses to convert an int of more
+#: than ``sys.get_int_max_str_digits()`` (4,300) digits, which a row
+#: past bit ~14,300 has.  Keys digest the schema, so entries of another
+#: generation are never read.
+STORE_SCHEMA = 2
 
 #: Modeled cost (in worklist node visits) of serving one method from
 #: the store instead of re-running its fixed point.  It models a store
 #: whose restore is a copy of the method's stored fact rows, about as
 #: cheap as one node visit, and it feeds ``modeled_speedup`` and the
 #: >= 10x re-vet gate, so it stays 1.0.  This host implementation pays
-#: far more per hit: on the ``revet`` benchmark's seed-1 apps (2-vCPU
-#: Xeon), an all-hit pass takes 28-29x the wall time of one worklist
-#: visit of a cold pass (all costs of both passes included) per reused
-#: method; the store read alone (read, JSON decode, validate) is about
-#: 14 visits of worklist run time.  ``incremental.wall_speedup``
-#: reports the wall-clock result beside the modeled one.
+#: far more per hit: over the 918 methods of the ``revet`` benchmark's
+#: 60 seed-1 first versions (2-vCPU Xeon), an all-hit pass takes 27-30x
+#: the wall time of one worklist visit of a cold pass (all costs of
+#: both passes included) per reused method, and the store read alone
+#: (read, JSON decode, decode and check every member) 9-10 visits.
+#: ``incremental.wall_speedup`` reports the wall-clock result beside
+#: the modeled one.
 REUSED_METHOD_COST = 1.0
 
 
@@ -154,13 +161,17 @@ class MethodSummaryStore:
         return True
 
     def load(
-        self, key: str, members: Sequence[str]
-    ) -> Optional[Dict[str, Any]]:
-        """Fetch one SCC entry, or None on miss/corruption.
+        self, key: str, members: Mapping[str, int]
+    ) -> Optional["StoredScc"]:
+        """Fetch and decode one SCC entry, or None on miss/corruption.
 
-        ``members`` is the expected signature set; an entry that fails
-        to parse, carries the wrong schema, or covers a different
-        member set is purged and counted as a miss.
+        ``members`` maps each expected member signature to its
+        statement count.  Every member is decoded and checked here,
+        before the caller restores anything: an entry that fails to
+        parse, carries the wrong schema or member set, lacks a field,
+        holds a summary that does not decode, a row that is not
+        non-negative hex, or not exactly one row per statement, is
+        purged and counted as a miss.
         """
         if not self.enabled:
             return None
@@ -176,6 +187,16 @@ class MethodSummaryStore:
                 raise ValueError("store schema mismatch")
             if set(entry["members"]) != set(members):
                 raise ValueError("store member mismatch")
+            stored = StoredScc(visits=float(entry["visits"]), members={})
+            for signature, statements in members.items():
+                member = entry["members"][signature]
+                summary = summary_from_payload(member["summary"])
+                rows = tuple(_row(row) for row in member["node_facts"])
+                if summary.signature != signature or len(rows) != statements:
+                    raise ValueError("store member does not fit its method")
+                stored.members[signature] = (
+                    summary, rows, _row(member["exit_facts"])
+                )
         except (ValueError, TypeError, KeyError):
             self.misses += 1
             try:
@@ -185,7 +206,7 @@ class MethodSummaryStore:
                 pass
             return None
         self.hits += 1
-        return entry
+        return stored
 
     def store(
         self,
@@ -204,15 +225,33 @@ class MethodSummaryStore:
                 signature: {
                     "summary": summary_to_payload(summaries[signature]),
                     "node_facts": [
-                        sorted(facts) for facts in result.node_facts
+                        format(row, "x") for row in result.node_facts
                     ],
-                    "exit_facts": sorted(result.exit_facts),
+                    "exit_facts": format(result.exit_facts, "x"),
                 }
                 for signature, result in results.items()
             },
         }
         if self._write(self._path(key), entry):
             self.stores += 1
+
+
+def _row(text: str) -> int:
+    """One stored MAT row: non-negative lowercase-hex text."""
+    row = int(text, 16)
+    if row < 0:
+        raise ValueError("negative fact row")
+    return row
+
+
+@dataclass
+class StoredScc:
+    """One SCC entry as :meth:`MethodSummaryStore.load` decoded it."""
+
+    #: Worklist visits the SCC's cold computation executed.
+    visits: float
+    #: Member signature -> (summary, node rows, exit row).
+    members: Dict[str, Tuple[MethodSummary, Tuple[int, ...], int]]
 
 
 @dataclass
@@ -337,30 +376,30 @@ def analyze_app_incremental(
         )
         keys.append(key)
 
-        entry = store.load(key, scc)
-        if entry is not None:
+        stored = store.load(
+            key,
+            {
+                signature: len(app.method_table[signature].statements)
+                for signature in scc
+            },
+        )
+        if stored is not None:
             # Restore every member's summary before building any fact
             # space: recursive members consult each other's footprints.
             for signature in scc:
-                summary = summary_from_payload(
-                    entry["members"][signature]["summary"]
-                )
+                summary = stored.members[signature][0]
                 summaries[signature] = summary
                 footprints[signature] = summary.footprint()
                 summary_fps[signature] = summary_fingerprint(summary)
             for signature in scc:
-                member = entry["members"][signature]
+                _, rows, exit_row = stored.members[signature]
                 space = FactSpace(app.method_table[signature], footprints)
                 method_facts[signature] = MethodFacts(
-                    space=space,
-                    node_facts=tuple(
-                        frozenset(facts) for facts in member["node_facts"]
-                    ),
-                    exit_facts=frozenset(member["exit_facts"]),
+                    space=space, node_facts=rows, exit_facts=exit_row
                 )
             stats.scc_hits += 1
             stats.methods_reused += len(scc)
-            stats.visits_cold += float(entry["visits"])
+            stats.visits_cold += stored.visits
             stats.visits_incremental += REUSED_METHOD_COST * len(scc)
             continue
 

@@ -18,9 +18,10 @@ paper's choice of the worklist algorithm avoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 from repro.cfg.intra import IntraCFG, build_intra_cfg
+from repro.dataflow.bitset import mask_from
 from repro.dataflow.facts import FactSpace
 from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.summaries import MethodSummary
@@ -116,9 +117,7 @@ class ConventionalIterative:
         method = self.method
         count = len(method.statements)
         if count == 0:
-            empty = MethodFacts(
-                space=self.space, node_facts=(), exit_facts=frozenset()
-            )
+            empty = MethodFacts(space=self.space, node_facts=(), exit_facts=0)
             return IterativeResult(facts=empty, sweeps=0, visits=0)
 
         facts: List[Set[int]] = [set() for _ in range(count)]
@@ -146,8 +145,8 @@ class ConventionalIterative:
         return IterativeResult(
             facts=MethodFacts(
                 space=self.space,
-                node_facts=tuple(frozenset(f) for f in facts),
-                exit_facts=frozenset(exit_out),
+                node_facts=tuple(mask_from(f) for f in facts),
+                exit_facts=mask_from(exit_out),
             ),
             sweeps=sweeps,
             visits=visits,

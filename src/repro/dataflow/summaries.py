@@ -26,8 +26,9 @@ cites JN-SAF for this argument).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Mapping, Set, Tuple
 
+from repro.dataflow.bitset import bit_indices
 from repro.dataflow.facts import CalleeFootprint, FactSpace, Instance
 
 #: A source term, see module docstring.
@@ -138,7 +139,7 @@ def external_summary(signature: str) -> MethodSummary:
 class SummaryBuilder:
     """Extract a :class:`MethodSummary` from a finished per-method analysis.
 
-    The builder inspects the *exit OUT* fact sets produced by a
+    The builder inspects the *exit OUT* row produced by a
     fixed-point run (any engine -- they all agree) and classifies every
     instance into source terms.
     """
@@ -146,8 +147,8 @@ class SummaryBuilder:
     def __init__(self, space: FactSpace) -> None:
         self.space = space
 
-    def build(self, exit_out_facts: Iterable[int]) -> MethodSummary:
-        """Extract the summary from the method's exit OUT facts."""
+    def build(self, exit_row: int) -> MethodSummary:
+        """Extract the summary from the method's exit OUT row."""
         space = self.space
         returns_fresh = False
         return_params: Set[int] = set()
@@ -157,7 +158,7 @@ class SummaryBuilder:
         field_writes: Dict[FieldKey, Set[Source]] = {}
 
         return_slot = space.return_slot()
-        for fact in exit_out_facts:
+        for fact in bit_indices(exit_row):
             slot_index, instance_index = space.decode(fact)
             slot = space.slots[slot_index]
             instance = space.instances[instance_index]

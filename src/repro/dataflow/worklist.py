@@ -20,15 +20,14 @@ and one per-method fixed-point run, yielding the :class:`IDFG`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
 from repro.cfg.intra import build_intra_cfg
-from repro.dataflow.bitset import mask_to_frozenset
+from repro.dataflow.bitset import mask_from
 from repro.dataflow.facts import CalleeFootprint, FactSpace
 from repro.dataflow.idfg import IDFG, MethodFacts
-from repro.dataflow.lattice import SetFactStore
 from repro.dataflow.summaries import MethodSummary, SummaryBuilder
 from repro.dataflow.transfer import MaskTransfer, TransferFunctions
 from repro.ir.app import AndroidApp
@@ -38,7 +37,7 @@ from repro.ir.method import Method
 class SequentialWorklist:
     """Alg. 1 for one method: FIFO worklist to the fixed point."""
 
-    __slots__ = ("cfg", "space", "transfer", "store", "visits", "iterations")
+    __slots__ = ("cfg", "space", "transfer", "visits", "iterations")
 
     def __init__(
         self,
@@ -54,17 +53,20 @@ class SequentialWorklist:
             }
         self.space = FactSpace(method, footprints)
         self.transfer = TransferFunctions(self.space, summaries)
-        self.store = SetFactStore(len(method.statements))
         #: Total node visits / pop-process steps (profiling).
         self.visits = 0
         self.iterations = 0
 
     def run(self) -> MethodFacts:
-        """Run to the fixed point over fact sets and package the results."""
+        """Run to the fixed point over fact sets and package the results.
+
+        The sets become MAT rows once, at the end (:func:`mask_from`).
+        """
         method = self.cfg.method
         if not method.statements:
-            return MethodFacts(space=self.space, node_facts=(), exit_facts=frozenset())
-        self.store.replace(0, self.space.entry_facts())
+            return MethodFacts(space=self.space, node_facts=(), exit_facts=0)
+        facts: List[Set[int]] = [set() for _ in method.statements]
+        facts[0] = set(self.space.entry_facts())
         worklist = deque([0])
         queued = {0}
         visited = [False] * len(method.statements)
@@ -74,9 +76,11 @@ class SequentialWorklist:
             visited[node] = True
             self.visits += 1
             self.iterations += 1
-            out = self.transfer.out_facts(node, self.store.get(node))
+            out = self.transfer.out_facts(node, facts[node])
             for successor in self.cfg.successors[node]:
-                grew = self.store.insert_all(successor, out)
+                before = len(facts[successor])
+                facts[successor] |= out
+                grew = len(facts[successor]) > before
                 # Alg. 1 "keeps iterating until all nodes are visited
                 # and all data-fact sets reach the fixed point": a
                 # successor is (re)queued when its facts grew, and
@@ -88,13 +92,11 @@ class SequentialWorklist:
 
         exit_out: Set[int] = set()
         for exit_node in self.cfg.exits:
-            exit_out |= self.transfer.out_facts(
-                exit_node, self.store.get(exit_node)
-            )
+            exit_out |= self.transfer.out_facts(exit_node, facts[exit_node])
         return MethodFacts(
             space=self.space,
-            node_facts=self.store.snapshot(),
-            exit_facts=frozenset(exit_out),
+            node_facts=tuple(mask_from(node_facts) for node_facts in facts),
+            exit_facts=mask_from(exit_out),
         )
 
     def run_masked(self) -> MethodFacts:
@@ -107,7 +109,7 @@ class SequentialWorklist:
         whole-set mask operations.
         """
         if not self.cfg.method.statements:
-            return MethodFacts(space=self.space, node_facts=(), exit_facts=frozenset())
+            return MethodFacts(space=self.space, node_facts=(), exit_facts=0)
         masked = MaskTransfer(self.transfer)
         facts = [0] * len(self.cfg.method.statements)
         facts[0] = masked.entry_mask()
@@ -129,14 +131,11 @@ class SequentialWorklist:
                     worklist.append(successor)
                     queued.add(successor)
 
-        self.store.seed_from_masks(facts)
         exit_mask = 0
         for exit_node in self.cfg.exits:
             exit_mask |= masked.out_mask(exit_node, facts[exit_node])
         return MethodFacts(
-            space=self.space,
-            node_facts=self.store.snapshot(),
-            exit_facts=mask_to_frozenset(exit_mask),
+            space=self.space, node_facts=tuple(facts), exit_facts=exit_mask
         )
 
 

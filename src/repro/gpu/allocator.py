@@ -16,7 +16,6 @@ when the dual-buffered sub-graph path is required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.gpu.spec import CostTable, GPUSpec, TESLA_P40
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.gpu.kernel import BlockCost, KernelCost
+from repro.gpu.kernel import KernelCost
 from repro.gpu.spec import CostTable, GPUSpec, TESLA_P40
 
 

@@ -11,7 +11,7 @@ engine's tuning parameters reproduce.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.gpu.spec import CostTable, GPUSpec, TESLA_P40

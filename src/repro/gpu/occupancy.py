@@ -11,7 +11,6 @@ independent of the tuning knob -- the hardware constraint behind the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.gpu.spec import GPUSpec, TESLA_P40
 

@@ -7,8 +7,8 @@ execute against, and accumulates whole-run statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.gpu.allocator import DeviceAllocator
 from repro.gpu.kernel import BlockCost, KernelCost, schedule_blocks

@@ -16,7 +16,7 @@ dynamic allocation must dwarf any per-fact arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ and the serial (single-buffer) alternative is ``sum(t_i) + sum(k_i)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.gpu.spec import GPUSpec, TESLA_P40
 

@@ -8,8 +8,8 @@ the manifest-level component list, the method table, and the global
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.ir.component import Component
 from repro.ir.method import Method

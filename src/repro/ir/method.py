@@ -8,7 +8,7 @@ can assume well-formed bodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.statements import Statement, callee_of, is_call

@@ -13,8 +13,10 @@ Entry points::
     report = run_lint(app)        # ordered LintReport, never raises
     check_app(app)                # raises LintError on error findings
 
-CLI: ``gdroid lint`` (see README).  Strict gates: ``REPRO_LINT_GATE=1``
-or ``AppWorkload.build(app, lint_gate=True)``.
+CLI: ``gdroid lint`` (see README).  Strict gates: the pipeline's
+``strict`` option (``gdroid bench --strict``), which turns a rejection
+into a :class:`repro.bench.harness.LintErrorRow`, or
+``AppWorkload.build(app, lint_gate=True)``, which raises.
 """
 
 from repro.lint.diagnostics import (

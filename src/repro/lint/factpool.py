@@ -1,7 +1,9 @@
 """Fact-pool bounds sanitizer -- the MAT-store equivalent of ASan.
 
-The MAT fact matrix (:mod:`repro.dataflow.matrix_store`, the int-mask
-rows of the fixed points, and the GPU cost model built on them) indexes a dense ``slot_count x instance_count`` pool with
+The MAT fact rows (the int masks of :mod:`repro.dataflow.bitset` that
+every fixed point, :class:`~repro.dataflow.idfg.MethodFacts` and the
+summary store keep, and the GPU cost model built on them) index a
+dense ``slot_count x instance_count`` pool with
 ``fact = slot * instance_count + instance``; an out-of-range slot or
 instance id is a silent bit-matrix corruption, and the transfer
 compiler's policy for *untracked* registers (no pool slot) is to drop

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.component import LIFECYCLE_CALLBACKS
 from repro.ir.expressions import ExceptionExpr
-from repro.ir.method import Method
 from repro.ir.statements import (
     AssignmentStatement,
     CallStatement,

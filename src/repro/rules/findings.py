@@ -11,7 +11,7 @@ format changes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Bump when the JSON layout of findings documents changes.

@@ -35,7 +35,6 @@ from repro.vetting.sources_sinks import (
     DEFAULT_REGISTRY,
     FLOW_SEVERITY,
     KIND_ICC_SEND,
-    KIND_SANITIZER,
     KIND_SINK,
     KIND_SOURCE,
     ApiEntry,

@@ -31,7 +31,7 @@ Kinds:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Set
 
 WORKER_CRASH = "worker-crash"

@@ -50,9 +50,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.serve.jobs import JobState, VetJob
+from repro.serve.jobs import VetJob
 
 #: Journal event vocabulary, in lifecycle order.
 EV_ADMIT = "admit"

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
+from repro.dataflow.bitset import bit_indices
 from repro.dataflow.idfg import IDFG, MethodFacts
 from repro.ir.app import AndroidApp
 
@@ -69,22 +70,15 @@ def build_method_ddg(
         if instance[0] in ("site", "call", "exc"):
             birth_label[index] = instance[1]
 
-    count = space.instance_count
     for node, statement in enumerate(method.statements):
-        reads = statement.uses()
-        if not reads:
-            continue
-        node_facts = facts.node_facts[node]
-        for variable in reads:
+        for variable in statement.uses():
             slot = space.var_slot(variable)
             if slot is None:
                 continue
-            base = slot * count
-            for fact in node_facts:
-                if base <= fact < base + count:
-                    born_at = birth_label.get(fact - base)
-                    if born_at is not None and born_at != statement.label:
-                        graph.add_edge(born_at, statement.label)
+            for instance in bit_indices(facts.instances(node, slot)):
+                born_at = birth_label.get(instance)
+                if born_at is not None and born_at != statement.label:
+                    graph.add_edge(born_at, statement.label)
     return DataDependenceGraph(method=signature, graph=graph)
 
 

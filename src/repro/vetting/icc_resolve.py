@@ -36,7 +36,7 @@ construction (property-tested across a generated corpus in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.dataflow.idfg import IDFG
@@ -150,21 +150,16 @@ class IccResolver:
 
     # -- points-to association -------------------------------------------------
 
-    def _pts(self, signature: str, node: int, variable) -> FrozenSet[int]:
-        """Abstract instances ``variable`` may reference at ``node``."""
+    def _pts(self, signature: str, node: int, variable) -> int:
+        """Mask of the abstract instances ``variable`` may reference at
+        ``node``."""
         if variable is None:
-            return frozenset()
+            return 0
         facts = self.idfg.method_facts[signature]
         slot = facts.space.var_slot(variable)
         if slot is None:
-            return frozenset()
-        count = facts.space.instance_count
-        base = slot * count
-        return frozenset(
-            fact - base
-            for fact in facts.node_facts[node]
-            if base <= fact < base + count
-        )
+            return 0
+        return facts.instances(node, slot)
 
     # -- classification --------------------------------------------------------
 

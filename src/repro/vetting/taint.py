@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.dataflow.bitset import bit_indices
 from repro.dataflow.idfg import IDFG
 from repro.ir.app import AndroidApp
 from repro.ir.statements import AssignmentStatement, CallStatement
@@ -148,8 +149,6 @@ class TaintAnalysis:
         self.returns_tainted: Dict[str, Provenance] = {}
         #: method -> param index -> provenance (calls-down channel).
         self.param_taint: Dict[str, Dict[int, Provenance]] = {}
-        #: (method, node) -> slot -> instance ids; built once per node.
-        self._slot_index: Dict[Tuple[str, int], Dict[int, Set[int]]] = {}
         self._sites: Dict[str, List[_CallSite]] = {
             signature: _call_sites(app, signature)
             for signature in idfg.method_facts
@@ -158,26 +157,6 @@ class TaintAnalysis:
         self.flows: List[TaintFlow] = []
 
     # -- helpers -----------------------------------------------------------------
-
-    def _node_slots(self, signature: str, node: int) -> Dict[int, Set[int]]:
-        """Instances per slot at ``node`` (indexed on first query)."""
-        key = (signature, node)
-        slots = self._slot_index.get(key)
-        if slots is None:
-            slots = self._slot_index[key] = self._slot_instances(
-                signature, node
-            )
-        return slots
-
-    def _slot_instances(self, signature: str, node: int) -> Dict[int, Set[int]]:
-        """One scan of ``node``'s fact set, grouped by slot."""
-        facts = self.idfg.method_facts[signature]
-        count = facts.space.instance_count
-        slots: Dict[int, Set[int]] = {}
-        for fact in facts.node_facts[node]:
-            slot, instance = divmod(fact, count)
-            slots.setdefault(slot, set()).add(instance)
-        return slots
 
     def _pts_provenance(
         self,
@@ -201,25 +180,24 @@ class TaintAnalysis:
         if slot is None:
             return frozenset()
         taint = self.tainted.get(signature, {})
-        slots = self._node_slots(signature, node)
 
         out: Set[str] = set()
-        frontier = set(slots.get(slot, ()))
-        seen: Set[int] = set()
-        while frontier:
-            instance = frontier.pop()
-            if instance in seen:
-                continue
-            seen.add(instance)
-            provenance = taint.get(instance)
-            if provenance:
-                out.update(provenance)
-            if not deep:
-                continue
-            for field in space.fields:
-                heap = space.heap_slot(instance, field)
-                if heap is not None and heap in slots:
-                    frontier |= slots[heap] - seen
+        pending = facts.instances(node, slot)
+        seen = 0
+        while pending:
+            seen |= pending
+            reached = 0
+            for instance in bit_indices(pending):
+                provenance = taint.get(instance)
+                if provenance:
+                    out.update(provenance)
+                if not deep:
+                    continue
+                for field in space.fields:
+                    heap = space.heap_slot(instance, field)
+                    if heap is not None:
+                        reached |= facts.instances(node, heap)
+            pending = reached & ~seen
         return frozenset(out)
 
     @staticmethod
@@ -297,14 +275,14 @@ class TaintAnalysis:
                     changed |= self._merge(taint, inst, up)
 
         # Exit effects: tainted returns and tainted global writes.
-        return_base = space.return_slot() * space.instance_count
-        for fact in facts.exit_facts:
+        return_slot = space.return_slot()
+        for fact in bit_indices(facts.exit_facts):
             slot_index, instance_index = space.decode(fact)
             provenance = taint.get(instance_index)
             if not provenance:
                 continue
             slot = space.slots[slot_index]
-            if slot_index * space.instance_count == return_base:
+            if slot_index == return_slot:
                 existing = self.returns_tainted.get(signature, frozenset())
                 merged = existing | provenance
                 if merged != existing:

@@ -43,7 +43,7 @@ from repro import obs
 from repro.cfg.callgraph import CallGraph
 from repro.cfg.environment import app_with_environments
 from repro.core.config import GDroidConfig, TuningParameters
-from repro.core.engine import AppWorkload, GDroid, _lint_gate_enabled
+from repro.core.engine import AppWorkload, GDroid
 from repro.ir.app import AndroidApp
 from repro.ir.expressions import StaticFieldAccessExpr
 from repro.ir.method import Method
@@ -432,7 +432,7 @@ def build_targeted_workload(
     spec: TargetSpec,
     tuning: Optional[TuningParameters] = None,
     record_mer: bool = True,
-    lint_gate: Optional[bool] = None,
+    lint_gate: bool = False,
 ) -> TargetedWorkload:
     """Pre-scan, slice, and analyze only the slice.
 
@@ -443,7 +443,7 @@ def build_targeted_workload(
     """
     if not spec:
         raise TargetSpecError("targeted vetting needs a non-empty target set")
-    if _lint_gate_enabled(lint_gate):
+    if lint_gate:
         from repro.lint import check_app
 
         with obs.span(f"lint.gate:{app.package}", category="lint"):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.apk.corpus import AppCorpus, CORPUS_BASE_SEED
 from repro.apk.dex import GdxFormatError, MAGIC, pack_app, unpack_app
-from repro.apk.generator import GeneratorProfile
 from repro.apk.loader import load_directory, load_gdx, save_corpus, save_gdx
 from repro.apk.manifest import AndroidManifest, manifest_of
 from repro.ir.printer import print_app

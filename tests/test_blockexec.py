@@ -12,7 +12,7 @@ from repro import obs
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
 from repro.core.blockexec import BlockRunner, WARP_SIZE
-from repro.core.blocks import BlockAssignment, partition_layers
+from repro.core.blocks import partition_layers
 from repro.core.config import TuningParameters
 from repro.core.engine import AppWorkload
 from repro.dataflow.worklist import analyze_app_reference
@@ -108,7 +108,7 @@ class TestTraceInvariants:
         records) hold one size per real node: its fixed-point set."""
         for result in run_blocks(demo_app):
             sizes = [
-                len(facts)
+                facts.bit_count()
                 for signature in result.assignment.methods
                 for facts in result.method_facts[signature].node_facts
             ]

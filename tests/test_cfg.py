@@ -1,7 +1,5 @@
 """Unit tests for intra-CFG, call graph, environments and ICFG."""
 
-import pytest
-
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import (
     app_with_environments,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dataflow.concrete import (
     ConcreteInterpreter,
-    ConcreteObject,
     ExecutionBudgetExceeded,
 )
 from repro.ir.parser import parse_app

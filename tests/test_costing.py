@@ -9,6 +9,10 @@ from repro.core.blockexec import BlockRunner
 from repro.core.blocks import BlockAssignment
 from repro.core.config import GDroidConfig
 from repro.core.costing import (
+    BYTES_PER_ENTRY,
+    GROWTH_FACTOR,
+    INITIAL_CAPACITY,
+    SET_HEADER_BYTES,
     _price_block_scalar,
     _price_columns,
     _sort_cycles,
@@ -21,7 +25,6 @@ from repro.core.engine import AppWorkload, GDroid
 from repro.core.gdroid_kernel import price_gdroid_block, select_trace
 from repro.core.plain_kernel import price_plain_block
 from repro.core.trace import TraceColumns
-from repro.dataflow.lattice import GROWTH_FACTOR, INITIAL_CAPACITY
 from repro.gpu.spec import DEFAULT_COSTS, CostTable
 from tests.conftest import seed_path, tiny_app
 
@@ -61,8 +64,6 @@ class TestCapacityModel:
 
     def test_independent_nodes(self):
         """One node's large set leaves its neighbour's capacity alone."""
-        from repro.dataflow.lattice import BYTES_PER_ENTRY, SET_HEADER_BYTES
-
         assert set_store_bytes([1000, INITIAL_CAPACITY + 1]) == (
             2 * SET_HEADER_BYTES
             + (set_capacity(1000)[1] + 2 * INITIAL_CAPACITY) * BYTES_PER_ENTRY
@@ -188,8 +189,6 @@ class TestGrpWarpHomogeneity:
 class TestSetStoreBytes:
     def test_footprint_counts_headers_and_capacity(self, block_result):
         nbytes = set_store_bytes(block_result.fact_counts)
-        from repro.dataflow.lattice import BYTES_PER_ENTRY, SET_HEADER_BYTES
-
         floor = block_result.trace_sync.node_count * (
             SET_HEADER_BYTES + INITIAL_CAPACITY * BYTES_PER_ENTRY
         )

@@ -1,6 +1,5 @@
 """Dominator tree and natural-loop tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """Unit tests for the pre-determined slot/instance pools."""
 
-import pytest
-
 from repro.dataflow.facts import ARRAY_FIELD, CalleeFootprint, FactSpace
 from repro.ir.parser import parse_app
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apk.generator import (
-    AppGenerator,
     GeneratorProfile,
     SINK_APIS,
     SOURCE_APIS,

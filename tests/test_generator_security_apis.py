@@ -1,7 +1,5 @@
 """Generated corpora exercise the security-relevant API surfaces."""
 
-import pytest
-
 from repro.apk.generator import GeneratorProfile, generate_app
 from repro.vetting.sources_sinks import ICC_SEND_APIS, is_icc_send, is_sink, is_source
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.gpu.allocator import DeviceAllocator, DeviceOutOfMemory
 from repro.gpu.kernel import BlockCost, schedule_blocks
 from repro.gpu.sim import GPUDevice
-from repro.gpu.spec import CostTable, GPUSpec, TESLA_P40
+from repro.gpu.spec import CostTable, TESLA_P40
 from repro.gpu.transfer import DualBufferSchedule, TransferEngine, plan_chunks
 
 

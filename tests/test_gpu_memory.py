@@ -1,11 +1,9 @@
 """Coalescing model tests, including a brute-force property check."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.memory import MemoryModel, transactions_for_addresses
-from repro.gpu.spec import GPUSpec
 
 
 class TestTransactionCounting:

@@ -1,7 +1,5 @@
 """GRP classification and storage-layout tests."""
 
-import pytest
-
 from repro.core.grouping import (
     ACCESS_GROUP_NAMES,
     BRANCH_CLASSES,

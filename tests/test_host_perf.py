@@ -1,6 +1,6 @@
 """Host-side performance layer: bit-exactness and cache/parallel tests.
 
-The packed-bitset store, masked dynamics, vectorized pricing, parallel
+The int-mask rows, masked dynamics, vectorized pricing, parallel
 corpus pipeline and on-disk cache are all *transparent* accelerations:
 every observable number -- per-node fact sets, traces, and modeled
 cycle counts -- must be identical to the seed implementation's.  These
@@ -19,17 +19,8 @@ from repro.apk.corpus import AppCorpus
 from repro.apk.generator import GeneratorProfile, generate_app
 from repro.bench.cache import EvaluationCache, config_fingerprint, row_key
 from repro.bench.parallel import plan_chunks, resolve_jobs
-from repro.dataflow.bitset import (
-    iter_bits,
-    mask_from,
-    mask_to_set,
-    pack_indices,
-    popcount_words,
-    unpack_indices,
-    words_for,
-)
+from repro.dataflow.bitset import bit_indices, mask_from
 from repro.cfg.environment import app_with_environments
-from repro.dataflow.matrix_store import MatrixFactStore
 from repro.dataflow.transfer import MaskTransfer
 from repro.dataflow.worklist import SequentialWorklist, analyze_app_reference
 from repro.gpu.memory import MemoryModel, transactions_for_addresses
@@ -47,49 +38,9 @@ def app():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=199), max_size=40))
 def test_pack_unpack_roundtrip(indices):
-    words = words_for(200)
-    row = pack_indices(indices, words)
-    assert unpack_indices(row) == sorted(set(indices))
-    assert popcount_words(row) == len(set(indices))
     mask = mask_from(indices)
-    assert mask_to_set(mask) == set(indices)
-    assert list(iter_bits(mask)) == sorted(set(indices))
-
-
-# -- the fact stores -----------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=3),
-            st.lists(st.integers(min_value=0, max_value=149), max_size=10),
-        ),
-        max_size=40,
-    )
-)
-def test_packed_boolean_set_stores_agree(ops):
-    """Packed uint64 rows vs plain sets, op by op."""
-    packed = MatrixFactStore(4, 150)
-    shadow = [set() for _ in range(4)]
-    for node, facts in ops:
-        grew = len(set(facts) - shadow[node]) > 0
-        assert packed.insert_all(node, facts) == grew
-        shadow[node] |= set(facts)
-    for node in range(4):
-        assert packed.get(node) == shadow[node]
-        assert packed.size(node) == len(shadow[node])
-    assert packed.snapshot() == tuple(frozenset(facts) for facts in shadow)
-    assert packed.memory_bytes() == (150 * 4 + 7) // 8
-
-
-def test_single_fact_fast_path_reports_growth():
-    store = MatrixFactStore(1, 70)
-    assert store.insert_all(0, [64])
-    assert not store.insert_all(0, [64])
-    assert store.insert_all(0, [63])
-    assert store.get(0) == {63, 64}
+    assert bit_indices(mask) == sorted(set(indices))
+    assert mask.bit_count() == len(set(indices))
 
 
 # -- masked transfer and the oracle worklist ----------------------------------
@@ -100,10 +51,9 @@ def test_mask_transfer_matches_set_transfer(app):
         wl = SequentialWorklist(method)
         masked = MaskTransfer(wl.transfer)
         result = wl.run()
-        for node, facts in enumerate(result.node_facts):
-            in_mask = mask_from(facts)
-            out_set = wl.transfer.out_facts(node, set(facts))
-            assert mask_to_set(masked.out_mask(node, in_mask)) == out_set
+        for node, in_mask in enumerate(result.node_facts):
+            out_set = wl.transfer.out_facts(node, set(bit_indices(in_mask)))
+            assert masked.out_mask(node, in_mask) == mask_from(out_set)
 
 
 def test_masked_worklist_matches_legacy_oracle(app):

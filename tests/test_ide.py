@@ -1,7 +1,5 @@
 """IDE copy-constant-propagation tests."""
 
-import pytest
-
 from repro.dataflow.ide import BOTTOM, TOP, IdeConstantSolver, meet
 from repro.ir.parser import parse_app
 from tests.conftest import tiny_app

@@ -1,7 +1,7 @@
 """IDFG result-structure tests."""
 
-import pytest
-
+from repro.apk.generator import GeneratorProfile, generate_app
+from repro.dataflow.bitset import bit_indices
 from repro.dataflow.idfg import IDFG, MethodFacts
 from repro.dataflow.worklist import analyze_app_reference
 
@@ -30,7 +30,7 @@ class TestEquivalence:
         signature = next(iter(idfg.method_facts))
         original = idfg.method_facts[signature]
         mutated_nodes = list(original.node_facts)
-        mutated_nodes[0] = frozenset(set(mutated_nodes[0]) | {99_999})
+        mutated_nodes[0] = mutated_nodes[0] | 1 << 99_999
         mutated = dict(idfg.method_facts)
         mutated[signature] = MethodFacts(
             space=original.space,
@@ -56,3 +56,18 @@ class TestEquivalence:
         facts = idfg.facts_of(signature)
         for slot, instance in facts.decoded(0):
             assert isinstance(slot, tuple) and isinstance(instance, tuple)
+
+
+class TestRowLayout:
+    def test_instances_matches_the_fact_scan(self):
+        """Taint, the DDG and the ICC resolver all read a slot through
+        ``instances``; it must agree with scanning the row's facts."""
+        idfg = analyze_app_reference(generate_app(31, GeneratorProfile(scale=0.5)))
+        for facts in idfg.method_facts.values():
+            count = facts.space.instance_count
+            for node, row in enumerate(facts.node_facts):
+                indices = bit_indices(row)
+                for slot in range(facts.space.slot_count):
+                    base = slot * count
+                    scanned = [f - base for f in indices if base <= f < base + count]
+                    assert bit_indices(facts.instances(node, slot)) == scanned

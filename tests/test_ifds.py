@@ -1,12 +1,10 @@
 """IFDS tabulation solver tests + cross-validation with the plugin."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cfg.environment import app_with_environments
 from repro.core.engine import AppWorkload
-from repro.dataflow.ifds import ZERO, IfdsSolver
+from repro.dataflow.ifds import IfdsSolver
 from repro.ir.parser import parse_app
 from repro.vetting.taint import TaintAnalysis
 from tests.conftest import tiny_app

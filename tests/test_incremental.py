@@ -25,6 +25,7 @@ from repro.bench.harness import (
 )
 from repro.cfg.callgraph import CallGraph, SBDALayering
 from repro.cfg.environment import app_with_environments
+from repro.dataflow.facts import FactSpace
 from repro.dataflow.fingerprint import (
     body_fingerprint,
     method_fingerprint,
@@ -32,12 +33,15 @@ from repro.dataflow.fingerprint import (
     summary_from_payload,
     summary_to_payload,
 )
+from repro.dataflow.idfg import MethodFacts
 from repro.dataflow.incremental import (
     MethodSummaryStore,
     analyze_app_incremental,
     vet_incremental,
 )
+from repro.dataflow.summaries import MethodSummary
 from repro.dataflow.worklist import analyze_app_reference, compute_summaries
+from repro.ir.parser import parse_app
 from repro.obs.export import render_ledger, run_ledger
 from repro.serve import JobState, ServeConfig, run_soak
 from repro.serve.journal import row_from_payload, row_to_payload
@@ -96,6 +100,27 @@ class TestFingerprints:
 # -- the summary store ---------------------------------------------------------
 
 
+def _no_node_facts(member):
+    del member["node_facts"]
+
+
+def _bogus_summary(member):
+    member["summary"] = {"bogus": 1}
+
+
+def _one_row_too_few(member):
+    member["node_facts"].pop()
+
+
+def _one_row_too_many(member):
+    member["node_facts"].append("0")
+
+
+_MEMBER_DAMAGE = (
+    _no_node_facts, _bogus_summary, _one_row_too_few, _one_row_too_many
+)
+
+
 class TestMethodSummaryStore:
     def test_cold_then_warm(self, tmp_path):
         store = MethodSummaryStore(root=tmp_path / "s")
@@ -127,6 +152,47 @@ class TestMethodSummaryStore:
         assert result.stats.methods_reused == 0
         assert not (tmp_path / "s").exists()
         assert result.idfg.equivalent_to(analyze_app_reference(_app()))
+
+    @pytest.mark.parametrize(
+        "damage", _MEMBER_DAMAGE, ids=[d.__name__ for d in _MEMBER_DAMAGE]
+    )
+    def test_malformed_member_is_purged_and_recomputed(self, tmp_path, damage):
+        """A member that parses but does not decode or does not fit its
+        method is a miss, caught before anything is restored."""
+        app = generate_app(31, GeneratorProfile(scale=0.3))
+        root = tmp_path / "s"
+        analyze_app_incremental(app, MethodSummaryStore(root=root))
+        for path in sorted(root.glob("*.json")):
+            entry = json.loads(path.read_text())
+            member = next(
+                (m for m in entry["members"].values() if m["node_facts"]), None
+            )
+            if member is not None:
+                break
+        damage(member)
+        path.write_text(json.dumps(entry))
+
+        store = MethodSummaryStore(root=root)
+        result = analyze_app_incremental(app, store)
+        assert (store.purged, store.misses) == (1, 1)
+        assert result.idfg.equivalent_to(analyze_app_reference(app))
+
+    def test_rows_round_trip_past_the_decimal_digit_limit(self, tmp_path):
+        """Rows are hex: one whose top bit is past ~14,300 has more than
+        the 4,300 decimal digits CPython converts to or from text."""
+        app = parse_app("app p\nmethod a.B.m()V\n  L0: return\nend\n")
+        method = app.method("a.B.m()V")
+        signature = str(method.signature)
+        row = 1 << 14_515 | 1 << 64 | 1
+        facts = MethodFacts(
+            space=FactSpace(method), node_facts=(row,), exit_facts=row >> 1
+        )
+        summary = MethodSummary(signature=signature)
+        store = MethodSummaryStore(root=tmp_path)
+        store.store("key", {signature: facts}, {signature: summary}, visits=3)
+        stored = store.load("key", {signature: 1})
+        assert stored.visits == 3
+        assert stored.members == {signature: (summary, (row,), row >> 1)}
 
 
 # -- exactness under version bumps ---------------------------------------------

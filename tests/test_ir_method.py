@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.ir.expressions import NewExpr
 from repro.ir.method import ExceptionHandler, Method, MethodSignature, Parameter
 from repro.ir.statements import (
-    AssignmentStatement,
     EmptyStatement,
     GotoStatement,
     ReturnStatement,

@@ -1,7 +1,5 @@
 """Unit tests for the 9 statement categories and their helpers."""
 
-import pytest
-
 from repro.ir.expressions import (
     AccessExpr,
     CallRhs,

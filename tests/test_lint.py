@@ -254,18 +254,8 @@ class TestStrictGate:
             AppWorkload.build(_mutant_app(), lint_gate=True)
         assert "FP-002" in str(excinfo.value)
 
-    def test_build_default_does_not_gate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LINT_GATE", raising=False)
+    def test_build_default_does_not_gate(self):
         AppWorkload.build(_mutant_app())
-
-    def test_env_var_gates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT_GATE", "1")
-        with pytest.raises(LintError):
-            AppWorkload.build(_mutant_app())
-
-    def test_explicit_arg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT_GATE", "1")
-        AppWorkload.build(_mutant_app(), lint_gate=False)
 
     def test_strict_corpus_yields_lint_error_row(self, monkeypatch):
         corpus = AppCorpus(size=3, base_seed=991200, profile=TINY_PROFILE)

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.gpu.occupancy import (
     BLOCK_SHARED_OVERHEAD_BYTES,
     WORKLIST_ENTRY_BYTES,

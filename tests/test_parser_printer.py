@@ -12,7 +12,7 @@ from repro.ir.parser import (
     parse_signature,
     parse_statement,
 )
-from repro.ir.printer import print_app, print_method
+from repro.ir.printer import print_app
 from tests.conftest import DEMO_APP_SOURCE, TINY_PROFILE
 
 

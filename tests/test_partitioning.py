@@ -1,6 +1,5 @@
 """Block-partitioning and SBDA-scheduling tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

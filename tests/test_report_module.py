@@ -1,7 +1,5 @@
 """Aggregate-report generation tests."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.bench.harness import evaluate_app

@@ -13,7 +13,6 @@ callee-fresh returns) is deliberate and covered by the targeted unit
 tests instead.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

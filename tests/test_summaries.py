@@ -1,7 +1,5 @@
 """Unit tests for SBDA summary extraction."""
 
-import pytest
-
 from repro.dataflow.summaries import (
     MethodSummary,
     SummaryBuilder,

@@ -1,7 +1,5 @@
 """Trace dataclass helpers and workload-profile accounting."""
 
-import pytest
-
 from repro.core.engine import AppWorkload
 from repro.core.trace import BlockTrace, NodeMeta
 from tests.conftest import tiny_app

@@ -1,6 +1,5 @@
 """Transfer-function semantics per statement kind, plus monotonicity."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,7 +1,5 @@
 """Sequential worklist (Alg. 1) reference tests."""
 
-import pytest
-
 from repro.dataflow.worklist import (
     SequentialWorklist,
     analyze_app_reference,
@@ -26,7 +24,7 @@ class TestSingleMethod:
         app = parse_app("app p\nmethod a.B.m()V\nend\n")
         result = SequentialWorklist(app.method("a.B.m()V")).run()
         assert result.node_facts == ()
-        assert result.exit_facts == frozenset()
+        assert result.exit_facts == 0
 
     def test_visit_counter(self, demo_app):
         method = demo_app.method(
@@ -45,7 +43,7 @@ class TestSingleMethod:
             "  L2: return\nend\n"
         )
         result = SequentialWorklist(app.method("a.B.m()V")).run()
-        assert result.node_facts[1] == frozenset()
+        assert result.node_facts[1] == 0
 
 
 class TestAppReference:
