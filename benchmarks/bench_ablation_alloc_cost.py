@@ -14,7 +14,7 @@ from repro.core.config import GDroidConfig
 from repro.core.engine import GDroid
 from repro.gpu.spec import CostTable, DEFAULT_COSTS
 
-from conftest import publish
+from benchlib import publish
 
 SWEEP = (0.0, 0.25, 1.0, 4.0)  # multipliers on dynamic_alloc_cycles
 

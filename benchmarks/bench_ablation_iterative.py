@@ -13,7 +13,7 @@ from repro.bench.figures import render_table
 from repro.dataflow.iterative import ConventionalIterative
 from repro.dataflow.worklist import SequentialWorklist
 
-from conftest import bench_corpus, publish
+from benchlib import bench_corpus, publish
 
 
 def test_worklist_vs_conventional(benchmark, corpus_rows):

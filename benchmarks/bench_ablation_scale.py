@@ -14,7 +14,7 @@ from repro.apk.generator import GeneratorProfile
 from repro.bench.figures import render_table
 from repro.bench.harness import evaluate_app
 
-from conftest import publish
+from benchlib import publish
 
 SCALES = (0.25, 0.5, 1.0)
 APPS_PER_SCALE = 6

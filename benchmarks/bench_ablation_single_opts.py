@@ -13,7 +13,7 @@ from repro.bench.figures import render_table
 from repro.core.config import GDroidConfig
 from repro.core.engine import GDroid
 
-from conftest import bench_corpus, publish
+from benchlib import bench_corpus, publish
 
 #: Single-opt variants (plain baseline priced alongside).
 VARIANTS = {

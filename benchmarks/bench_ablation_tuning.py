@@ -11,7 +11,7 @@ from repro.bench.figures import render_table
 from repro.core.autotune import AutoTuner
 from repro.core.config import GDroidConfig
 
-from conftest import bench_corpus, publish
+from benchlib import bench_corpus, publish
 
 
 def test_tuning_sweep(benchmark, corpus_rows):

@@ -15,7 +15,7 @@ from repro.core.engine import AppWorkload
 from repro.dataflow.ifds import IfdsSolver
 from repro.vetting.taint import TaintAnalysis
 
-from conftest import publish
+from benchlib import publish
 
 #: Leak-rich corpus slice so both engines have work to do.
 N_APPS = 14

@@ -15,7 +15,7 @@ from repro.core.multigpu import (
 )
 from repro.gpu.spec import TESLA_P40
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_multigpu_scaling(benchmark, sample_workload):

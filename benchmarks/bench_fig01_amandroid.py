@@ -10,7 +10,7 @@ import statistics
 from repro.bench.figures import render_series, render_table
 from repro.cpu.amandroid import AmandroidModel
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_fig01_amandroid_breakdown(benchmark, corpus_rows, sample_workload):

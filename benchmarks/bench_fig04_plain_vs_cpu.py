@@ -13,7 +13,7 @@ from repro.bench.stats import percent_below
 from repro.core.config import GDroidConfig
 from repro.core.engine import GDroid
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_fig04_plain_gpu_vs_cpu(benchmark, corpus_rows, sample_workload):

@@ -10,7 +10,7 @@ from repro.bench.figures import render_series, render_table
 from repro.core.config import GDroidConfig
 from repro.core.engine import GDroid
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_fig08_gdroid_vs_plain(benchmark, corpus_rows, sample_workload):

@@ -10,7 +10,7 @@ import statistics
 
 from repro.bench.figures import render_series, render_table
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_fig10_memory_footprint(benchmark, corpus_rows, sample_workload):

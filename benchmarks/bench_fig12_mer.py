@@ -12,7 +12,7 @@ from repro.bench.stats import percent_between
 from repro.core.config import GDroidConfig
 from repro.core.engine import GDroid
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_fig12_mer_speedup(benchmark, corpus_rows, sample_workload):

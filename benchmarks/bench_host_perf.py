@@ -31,7 +31,7 @@ from repro.bench.figures import render_table
 from repro.core import costing
 from repro.core.blockexec import BlockRunner
 
-from conftest import RESULTS_DIR, publish
+from benchlib import RESULTS_DIR, publish
 
 #: Slice size; override with REPRO_HOST_PERF_BENCH_APPS.
 BENCH_APPS = int(os.environ.get("REPRO_HOST_PERF_BENCH_APPS", "24"))

@@ -34,7 +34,7 @@ from repro.apk.generator import (
 from repro.bench.figures import render_table
 from repro.vetting.report import vet_app
 
-from conftest import publish
+from benchlib import publish
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from bench_baseline import (  # noqa: E402

@@ -26,7 +26,7 @@ from repro.dataflow.incremental import (
 from repro.dataflow.worklist import analyze_app_reference
 from repro.vetting.report import vet_app, vet_workload
 
-from conftest import publish
+from benchlib import publish
 
 #: A one-method bump must re-vet at least this much cheaper (modeled).
 MIN_SPEEDUP = 10.0

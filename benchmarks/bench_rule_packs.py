@@ -25,7 +25,7 @@ from repro.rules import (
     shipped_packs,
 )
 
-from conftest import RESULTS_DIR, publish
+from benchlib import RESULTS_DIR, publish
 
 
 def _gate_pack(name):

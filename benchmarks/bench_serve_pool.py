@@ -22,7 +22,7 @@ from repro.bench.figures import render_table
 from repro.serve import ServeConfig, run_soak
 from repro.serve.jobs import JobState
 
-from conftest import publish
+from benchlib import publish
 
 WORKER_COUNTS = (1, 2, 4)
 

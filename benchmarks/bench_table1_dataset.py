@@ -8,7 +8,7 @@ import statistics
 
 from repro.bench.figures import render_table
 
-from conftest import publish
+from benchlib import publish
 
 
 def test_table1_dataset_characteristics(benchmark, corpus, corpus_rows):

@@ -16,7 +16,7 @@ import statistics
 
 from repro.bench.figures import render_table
 
-from conftest import publish
+from benchlib import publish
 
 
 def _mix(rows, attribute):

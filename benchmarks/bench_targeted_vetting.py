@@ -24,7 +24,7 @@ from repro.core.engine import AppWorkload, GDroid
 from repro.serve.sharder import classify
 from repro.vetting.targeted import TargetSpec, build_targeted_workload
 
-from conftest import publish
+from benchlib import publish
 
 #: The single-sink query of the headline comparison.
 SINK = "SMS"

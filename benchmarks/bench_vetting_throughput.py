@@ -11,7 +11,7 @@ import statistics
 from repro.bench.figures import render_table
 from repro.vetting.report import vet_workload
 
-from conftest import publish
+from benchlib import publish
 
 SECONDS_PER_DAY = 86400.0
 

@@ -2,42 +2,22 @@
 
 The corpus evaluation (functional analysis + all engines per app) runs
 once per session and is shared by every figure/table benchmark through
-:func:`repro.bench.harness.evaluate_corpus`'s process cache.
+:func:`repro.bench.harness.evaluate_corpus`'s process cache.  The
+corpus slice and the result tables come from :mod:`benchlib`, which
+also lists the ``REPRO_BENCH_APPS`` / ``REPRO_BENCH_SCALE`` knobs.
+Two more knobs reach the harness directly:
 
-Environment knobs:
-
-* ``REPRO_BENCH_APPS``  -- corpus slice (default 60; paper used 1000).
-* ``REPRO_BENCH_SCALE`` -- generator scale (default 1.0).
 * ``REPRO_BENCH_JOBS``  -- evaluation worker processes (default 1).
 * ``REPRO_BENCH_CACHE`` -- set to 0 to disable the on-disk row cache.
-
-Each benchmark also writes its paper-vs-measured table to
-``benchmarks/results/<name>.txt`` so results survive pytest's output
-capture.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.apk.corpus import AppCorpus
-from repro.apk.generator import GeneratorProfile
+from benchlib import bench_corpus
 from repro.bench.harness import evaluate_corpus
 from repro.core.engine import AppWorkload
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Default corpus slice for a benchmark session.
-DEFAULT_APPS = 60
-
-
-def bench_corpus() -> AppCorpus:
-    size = int(os.environ.get("REPRO_BENCH_APPS", DEFAULT_APPS))
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    return AppCorpus(size=size, profile=GeneratorProfile(scale=scale))
 
 
 @pytest.fixture(scope="session")
@@ -59,10 +39,3 @@ def corpus_rows(corpus):
 def sample_workload(corpus):
     """One representative workload for per-configuration timing."""
     return AppWorkload.build(corpus.app(0))
-
-
-def publish(name: str, text: str) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
-    print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")

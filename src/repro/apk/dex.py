@@ -16,23 +16,40 @@ Layout (all integers little-endian)::
                 str name, str kind, u8 exported,
                 u16 filter count + str each,
                 u16 callback count + (str callback, str signature) each
-    u32     method count, then per method:
+    u32     method count, then per method record:
                 str signature
                 u16 param count + (str name, str descriptor) each
                 u16 local count + (str name, str descriptor) each
+                u16 handler count + (str start, str end, str handler) each
                 u32 statement count + (str label, str text) each
 
 where ``str`` is ``u32 length + UTF-8 bytes``.  Statement text uses the
 concrete syntax shared with the textual format, so both containers have
 a single, well-tested statement grammar.
+
+Record reuse.  Version bumps of one app arrive back to back (a re-vet
+loads the new version, then the old one), and most of their method
+records are byte-identical.  :func:`unpack_app` therefore keeps one
+table for the last container it decoded successfully: signature text
+-> (record bytes, decoded :class:`Method`).  A record whose bytes equal
+the table's record for the same signature is not decoded again; the
+table's ``Method`` is reused and decoding resumes after the record.
+This cannot change a result: a record's decode is a pure function of
+its bytes (the parsers and ``Method``'s validation read nothing else),
+a record in the table decoded without error, and IR objects are
+immutable, so sharing a ``Method`` between apps is what
+:func:`repro.apk.generator.mutate_app` already does.  App-level
+validation runs on every load, and the table is replaced only once
+:class:`AndroidApp` accepts a container.  ``apk.methods_decoded`` and
+``apk.methods_reused`` count both paths in the run ledger.
 """
 
 from __future__ import annotations
 
 import struct
-from io import BytesIO
-from typing import BinaryIO, List
+from typing import Dict, List, Tuple
 
+from repro import obs
 from repro.ir.app import AndroidApp, GlobalField
 from repro.ir.component import Component, ComponentKind
 from repro.ir.method import ExceptionHandler, Method, Parameter
@@ -42,109 +59,167 @@ from repro.ir.types import parse_descriptor
 MAGIC = b"GDX1"
 VERSION = 1
 
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+
+#: The last container decoded successfully: signature text -> (method
+#: record bytes, decoded Method).  See "Record reuse" above.
+_last_records: Dict[str, Tuple[bytes, Method]] = {}
+
 
 class GdxFormatError(ValueError):
     """Raised on malformed ``.gdx`` input."""
 
 
-# -- primitives ---------------------------------------------------------------
-
-
-def _write_str(out: BinaryIO, text: str) -> None:
-    blob = text.encode("utf-8")
-    out.write(struct.pack("<I", len(blob)))
-    out.write(blob)
-
-
-def _read_exact(src: BinaryIO, count: int) -> bytes:
-    blob = src.read(count)
-    if len(blob) != count:
-        raise GdxFormatError("truncated .gdx stream")
-    return blob
-
-
-def _read_str(src: BinaryIO) -> str:
-    (length,) = struct.unpack("<I", _read_exact(src, 4))
-    blob = _read_exact(src, length)
-    try:
-        return blob.decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise GdxFormatError(
-            f"undecodable string at offset {src.tell()}: {error}"
-        ) from error
-
-
-def _rewrap(src: BinaryIO, what: str, error: Exception) -> GdxFormatError:
-    """Attach stream-offset context to a parse error, once."""
-    if isinstance(error, GdxFormatError):
-        return error
-    return GdxFormatError(f"{what} at offset {src.tell()}: {error}")
-
-
-def _write_u(out: BinaryIO, fmt: str, value: int) -> None:
-    out.write(struct.pack(fmt, value))
-
-
-def _read_u(src: BinaryIO, fmt: str) -> int:
-    size = struct.calcsize(fmt)
-    (value,) = struct.unpack(fmt, _read_exact(src, size))
-    return value
-
-
 # -- packing ---------------------------------------------------------------------
+
+
+def _put_str(out: List[bytes], text: str) -> None:
+    blob = text.encode("utf-8")
+    out.append(_U32.pack(len(blob)))
+    out.append(blob)
 
 
 def pack_app(app: AndroidApp) -> bytes:
     """Serialize an app into ``.gdx`` bytes."""
-    out = BytesIO()
-    out.write(MAGIC)
-    _write_u(out, "<H", VERSION)
-    _write_str(out, app.package)
-    _write_str(out, app.category)
+    out: List[bytes] = [MAGIC, _U16.pack(VERSION)]
+    _put_str(out, app.package)
+    _put_str(out, app.category)
 
-    _write_u(out, "<I", len(app.global_fields))
+    out.append(_U32.pack(len(app.global_fields)))
     for field in app.global_fields:
-        _write_str(out, field.name)
-        _write_str(out, field.type.descriptor())
+        _put_str(out, field.name)
+        _put_str(out, field.type.descriptor())
 
-    _write_u(out, "<I", len(app.components))
+    out.append(_U32.pack(len(app.components)))
     for component in app.components:
-        _write_str(out, component.name)
-        _write_str(out, component.kind.value)
-        _write_u(out, "<B", 1 if component.exported else 0)
-        _write_u(out, "<H", len(component.intent_filters))
+        _put_str(out, component.name)
+        _put_str(out, component.kind.value)
+        out.append(_U8.pack(1 if component.exported else 0))
+        out.append(_U16.pack(len(component.intent_filters)))
         for intent_filter in component.intent_filters:
-            _write_str(out, intent_filter)
+            _put_str(out, intent_filter)
         callbacks = sorted(component.callbacks.items())
-        _write_u(out, "<H", len(callbacks))
+        out.append(_U16.pack(len(callbacks)))
         for callback, signature in callbacks:
-            _write_str(out, callback)
-            _write_str(out, signature)
+            _put_str(out, callback)
+            _put_str(out, signature)
 
-    _write_u(out, "<I", len(app.methods))
+    out.append(_U32.pack(len(app.methods)))
     for method in app.methods:
-        _write_str(out, str(method.signature))
-        _write_u(out, "<H", len(method.parameters))
-        for parameter in method.parameters:
-            _write_str(out, parameter.name)
-            _write_str(out, parameter.type.descriptor())
-        _write_u(out, "<H", len(method.locals))
-        for local in method.locals:
-            _write_str(out, local.name)
-            _write_str(out, local.type.descriptor())
-        _write_u(out, "<H", len(method.handlers))
+        _put_str(out, str(method.signature))
+        for variables in (method.parameters, method.locals):
+            out.append(_U16.pack(len(variables)))
+            for variable in variables:
+                _put_str(out, variable.name)
+                _put_str(out, variable.type.descriptor())
+        out.append(_U16.pack(len(method.handlers)))
         for handler in method.handlers:
-            _write_str(out, handler.start)
-            _write_str(out, handler.end)
-            _write_str(out, handler.handler)
-        _write_u(out, "<I", len(method.statements))
+            _put_str(out, handler.start)
+            _put_str(out, handler.end)
+            _put_str(out, handler.handler)
+        out.append(_U32.pack(len(method.statements)))
         for statement in method.statements:
-            _write_str(out, statement.label)
-            _write_str(out, statement.text())
-    return out.getvalue()
+            _put_str(out, statement.label)
+            _put_str(out, statement.text())
+    return b"".join(out)
 
 
 # -- unpacking ----------------------------------------------------------------------
+#
+# Readers take the buffer and an offset and return ``(value, offset
+# after it)``.  A parse error quotes the offset just past the last field
+# read.
+
+
+def _truncated() -> GdxFormatError:
+    return GdxFormatError("truncated .gdx stream")
+
+
+def _read_int(blob: bytes, pos: int, field: struct.Struct) -> Tuple[int, int]:
+    try:
+        return field.unpack_from(blob, pos)[0], pos + field.size
+    except struct.error:
+        raise _truncated() from None
+
+
+def _read_text(blob: bytes, pos: int) -> Tuple[str, int]:
+    try:
+        (length,) = _U32.unpack_from(blob, pos)
+    except struct.error:
+        raise _truncated() from None
+    start = pos + 4
+    end = start + length
+    if end > len(blob):
+        raise _truncated()
+    try:
+        return blob[start:end].decode(), end
+    except UnicodeDecodeError as error:
+        raise GdxFormatError(
+            f"undecodable string at offset {end}: {error}"
+        ) from error
+
+
+def _located(what: str, pos: int, error: Exception) -> GdxFormatError:
+    """Attach the buffer offset to a parse error."""
+    return GdxFormatError(f"{what} at offset {pos}: {error}")
+
+
+def _read_variables(
+    blob: bytes, pos: int, what: str
+) -> Tuple[List[Parameter], int]:
+    count, pos = _read_int(blob, pos, _U16)
+    variables = []
+    for _ in range(count):
+        name, pos = _read_text(blob, pos)
+        descriptor, pos = _read_text(blob, pos)
+        try:
+            variables.append(Parameter(name=name, type=parse_descriptor(descriptor)))
+        except ValueError as error:
+            raise _located(f"{what} '{name}'", pos, error) from error
+    return variables, pos
+
+
+def _read_method(
+    blob: bytes, pos: int, signature_text: str
+) -> Tuple[Method, int]:
+    """Decode one method record after its signature string."""
+    try:
+        signature = parse_signature(signature_text)
+    except ValueError as error:
+        raise _located(
+            f"method signature '{signature_text}'", pos, error
+        ) from error
+    parameters, pos = _read_variables(blob, pos, "parameter")
+    locals_, pos = _read_variables(blob, pos, "local")
+    count, pos = _read_int(blob, pos, _U16)
+    handlers = []
+    for _ in range(count):
+        start, pos = _read_text(blob, pos)
+        end, pos = _read_text(blob, pos)
+        handler, pos = _read_text(blob, pos)
+        handlers.append(ExceptionHandler(start=start, end=end, handler=handler))
+    count, pos = _read_int(blob, pos, _U32)
+    statements = []
+    for _ in range(count):
+        label, pos = _read_text(blob, pos)
+        text, pos = _read_text(blob, pos)
+        try:
+            statements.append(parse_statement(label, text))
+        except ValueError as error:
+            raise _located(f"statement '{label}: {text}'", pos, error) from error
+    try:
+        method = Method(
+            signature=signature,
+            parameters=parameters,
+            locals=locals_,
+            statements=statements,
+            handlers=handlers,
+        )
+    except ValueError as error:
+        raise _located(f"method {signature}", pos, error) from error
+    return method, pos
 
 
 def unpack_app(blob: bytes) -> AndroidApp:
@@ -153,110 +228,82 @@ def unpack_app(blob: bytes) -> AndroidApp:
     Any input that does not start with the ``GDX1`` magic is rejected
     with :class:`GdxFormatError`, as is every malformed field after it.
     """
-    src = BytesIO(blob)
-    if _read_exact(src, 4) != MAGIC:
+    global _last_records
+    if len(blob) < len(MAGIC):
+        raise _truncated()
+    if blob[: len(MAGIC)] != MAGIC:
         raise GdxFormatError("bad magic; not a .gdx container")
-    version = _read_u(src, "<H")
+    version, pos = _read_int(blob, len(MAGIC), _U16)
     if version != VERSION:
         raise GdxFormatError(f"unsupported .gdx version {version}")
-    package = _read_str(src)
-    category = _read_str(src)
+    package, pos = _read_text(blob, pos)
+    category, pos = _read_text(blob, pos)
 
-    global_count = _read_u(src, "<I")
+    count, pos = _read_int(blob, pos, _U32)
     globals_: List[GlobalField] = []
-    for _ in range(global_count):
-        name = _read_str(src)
-        descriptor = _read_str(src)
+    for _ in range(count):
+        name, pos = _read_text(blob, pos)
+        descriptor, pos = _read_text(blob, pos)
         try:
             field_type = parse_descriptor(descriptor)
         except ValueError as error:
-            raise _rewrap(src, f"global field '{name}'", error) from error
+            raise _located(f"global field '{name}'", pos, error) from error
         globals_.append(GlobalField(name=name, type=field_type))
 
-    component_count = _read_u(src, "<I")
+    count, pos = _read_int(blob, pos, _U32)
     components: List[Component] = []
-    for _ in range(component_count):
-        name = _read_str(src)
+    for _ in range(count):
+        name, pos = _read_text(blob, pos)
+        kind_text, pos = _read_text(blob, pos)
         try:
-            kind = ComponentKind(_read_str(src))
+            kind = ComponentKind(kind_text)
         except ValueError as error:
-            raise _rewrap(src, f"component '{name}' kind", error) from error
-        exported = bool(_read_u(src, "<B"))
-        filters = [_read_str(src) for _ in range(_read_u(src, "<H"))]
+            raise _located(f"component '{name}' kind", pos, error) from error
+        exported, pos = _read_int(blob, pos, _U8)
+        filter_count, pos = _read_int(blob, pos, _U16)
+        filters = []
+        for _ in range(filter_count):
+            intent_filter, pos = _read_text(blob, pos)
+            filters.append(intent_filter)
+        callback_count, pos = _read_int(blob, pos, _U16)
         callbacks = {}
-        for _ in range(_read_u(src, "<H")):
-            callback = _read_str(src)
-            callbacks[callback] = _read_str(src)
+        for _ in range(callback_count):
+            callback, pos = _read_text(blob, pos)
+            signature, pos = _read_text(blob, pos)
+            callbacks[callback] = signature
         components.append(
             Component(
                 name=name,
                 kind=kind,
                 callbacks=callbacks,
-                exported=exported,
+                exported=bool(exported),
                 intent_filters=filters,
             )
         )
 
-    method_count = _read_u(src, "<I")
+    count, pos = _read_int(blob, pos, _U32)
+    previous = _last_records
+    records: Dict[str, Tuple[bytes, Method]] = {}
     methods: List[Method] = []
-    for _ in range(method_count):
-        signature_text = _read_str(src)
-        try:
-            signature = parse_signature(signature_text)
-        except ValueError as error:
-            raise _rewrap(
-                src, f"method signature '{signature_text}'", error
-            ) from error
-        parameters = []
-        for _ in range(_read_u(src, "<H")):
-            pname = _read_str(src)
-            try:
-                parameters.append(
-                    Parameter(name=pname, type=parse_descriptor(_read_str(src)))
-                )
-            except ValueError as error:
-                raise _rewrap(src, f"parameter '{pname}'", error) from error
-        locals_ = []
-        for _ in range(_read_u(src, "<H")):
-            lname = _read_str(src)
-            try:
-                locals_.append(
-                    Parameter(name=lname, type=parse_descriptor(_read_str(src)))
-                )
-            except ValueError as error:
-                raise _rewrap(src, f"local '{lname}'", error) from error
-        handlers = []
-        for _ in range(_read_u(src, "<H")):
-            start = _read_str(src)
-            end = _read_str(src)
-            handlers.append(
-                ExceptionHandler(start=start, end=end, handler=_read_str(src))
-            )
-        statements = []
-        for _ in range(_read_u(src, "<I")):
-            label = _read_str(src)
-            text = _read_str(src)
-            try:
-                statements.append(parse_statement(label, text))
-            except ValueError as error:
-                raise _rewrap(
-                    src, f"statement '{label}: {text}'", error
-                ) from error
-        try:
-            methods.append(
-                Method(
-                    signature=signature,
-                    parameters=parameters,
-                    locals=locals_,
-                    statements=statements,
-                    handlers=handlers,
-                )
-            )
-        except ValueError as error:
-            raise _rewrap(src, f"method {signature}", error) from error
+    reused = 0
+    for _ in range(count):
+        start = pos
+        signature_text, pos = _read_text(blob, pos)
+        known = previous.get(signature_text)
+        if known is not None and blob.startswith(known[0], start):
+            record, method = known
+            pos = start + len(record)
+            reused += 1
+        else:
+            method, pos = _read_method(blob, pos, signature_text)
+            record = blob[start:pos]
+        records[signature_text] = (record, method)
+        methods.append(method)
+    obs.count("apk.methods_decoded", count - reused)
+    obs.count("apk.methods_reused", reused)
 
     try:
-        return AndroidApp(
+        app = AndroidApp(
             package=package,
             components=components,
             methods=methods,
@@ -264,4 +311,6 @@ def unpack_app(blob: bytes) -> AndroidApp:
             category=category,
         )
     except ValueError as error:
-        raise _rewrap(src, f"app '{package}'", error) from error
+        raise _located(f"app '{package}'", pos, error) from error
+    _last_records = records
+    return app

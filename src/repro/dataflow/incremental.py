@@ -21,7 +21,8 @@ makes the re-run pay only for what changed:
 
 * After its SCC entries are written, each pass writes one *index
   entry*, ``apps/<app key>.json`` under the store root, listing the
-  app's SCC keys in bottom-up order.  The app key
+  app's SCC keys in bottom-up order, unless the entry on disk already
+  lists them.  The app key
   (:func:`repro.dataflow.fingerprint.app_store_key`) digests the
   schema and the analyzed app's (signature, method fingerprint) pairs,
   which determine every SCC key.  :func:`vet_incremental` reads it to
@@ -137,9 +138,21 @@ class MethodSummaryStore:
             return False
 
     def store_index(self, app_key: str, keys: Sequence[str]) -> None:
-        """Persist one app's SCC key list atomically; non-fatal."""
-        if self.enabled:
-            self._write(self._index_path(app_key), {"keys": list(keys)})
+        """Persist one app's SCC key list atomically; non-fatal.
+
+        An entry on disk that already lists ``keys`` is left as it is:
+        reading it costs far less than a temp file plus ``os.replace``.
+        """
+        if not self.enabled:
+            return
+        path = self._index_path(app_key)
+        entry = {"keys": list(keys)}
+        try:
+            if json.loads(path.read_text()) == entry:
+                return
+        except (OSError, ValueError):
+            pass
+        self._write(path, entry)
 
     def _write(self, path: Path, entry: Dict[str, Any]) -> bool:
         """Write ``entry`` as JSON via a temp file + ``os.replace``."""

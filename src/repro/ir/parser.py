@@ -10,7 +10,7 @@ their bugs.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.app import AndroidApp, GlobalField
 from repro.ir.component import Component, ComponentKind
@@ -50,20 +50,30 @@ from repro.ir.statements import (
 from repro.ir.types import ObjectType, parse_descriptor
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
-_VAR_RE = re.compile(rf"^{_IDENT}$")
-_BINARY_RE = re.compile(
-    rf"^({_IDENT})\s*(\+|-|\*|/|%|&|\||\^|<<|>>>|>>)\s*({_IDENT})$"
+_BINARY_OP = r"\+|-|\*|/|%|&|\||\^|<<|>>>|>>"
+#: Every right-hand-side form a pattern decides.  The forms are
+#: disjoint -- each needs its own first character, or its own character
+#: after the leading identifier -- so one anchored pattern tries them
+#: all, and ``lastgroup`` (always the form's last group) names the one
+#: that matched; a bare ``name`` is a variable.  An assignment target
+#: is a ``name``, ``access``, ``index`` or ``static`` form.
+_EXPRESSION_RE = re.compile(
+    "^(?:"
+    rf"(?P<name>{_IDENT})(?:"
+    rf"\.(?P<access>{_IDENT})"
+    rf"|\[(?P<index>{_IDENT})\]"
+    rf"|\s*(?P<binary_op>{_BINARY_OP})\s*(?P<binary>{_IDENT})"
+    r"|\s+instanceof\s+(?P<instanceof>\S+)"
+    ")?"
+    rf"|@@(?P<static_owner>[A-Za-z0-9_.$]+)\.(?P<static>{_IDENT})"
+    rf"|\((?P<cast_type>\S+)\)\s+(?P<cast>{_IDENT})"
+    r"|(?P<number>-?\d+(?P<fraction>\.\d+)?)"
+    rf"|(?P<unary_op>[-!~])(?P<unary>{_IDENT})"
+    rf"|(?P<cmp_op>cmpl?|cmpg|cmp)\((?P<cmp_left>{_IDENT}),\s*(?P<cmp>{_IDENT})\)"
+    rf"|length\((?P<length>{_IDENT})\)"
+    ")$"
 )
-_UNARY_RE = re.compile(rf"^([-!~])({_IDENT})$")
-_CMP_RE = re.compile(rf"^(cmpl?|cmpg|cmp)\(({_IDENT}),\s*({_IDENT})\)$")
-_LENGTH_RE = re.compile(rf"^length\(({_IDENT})\)$")
-_INSTANCEOF_RE = re.compile(rf"^({_IDENT})\s+instanceof\s+(\S+)$")
-_ACCESS_RE = re.compile(rf"^({_IDENT})\.({_IDENT})$")
-_STATIC_RE = re.compile(rf"^@@([A-Za-z0-9_.$]+)\.({_IDENT})$")
-_INDEX_RE = re.compile(rf"^({_IDENT})\[({_IDENT})\]$")
-_CAST_RE = re.compile(rf"^\((\S+)\)\s+({_IDENT})$")
-_INT_RE = re.compile(r"^-?\d+$")
-_FLOAT_RE = re.compile(r"^-?\d+\.\d+$")
+_IF_RE = re.compile(rf"^if\s+({_IDENT})\s+then\s+goto\s+(\S+)$")
 _CALL_STMT_RE = re.compile(rf"^call\s+(?:({_IDENT})\s*:=\s*)?(.+)$")
 _SIG_RE = re.compile(r"^([A-Za-z0-9_.$]+)\.([A-Za-z0-9_$<>]+)\((.*)\)(.+)$")
 _SWITCH_RE = re.compile(rf"^switch\s+({_IDENT})\s*\{{\s*(.*)\s*\}}$")
@@ -123,72 +133,58 @@ def _split_descriptors(blob: str) -> List[str]:
     return out
 
 
-def _parse_literal(token: str) -> Optional[LiteralExpr]:
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        inner = token[1:-1]
-        inner = inner.replace('\\"', '"').replace("\\\\", "\\")
-        return LiteralExpr(value=inner)
-    if _INT_RE.match(token):
-        return LiteralExpr(value=int(token))
-    if _FLOAT_RE.match(token):
-        return LiteralExpr(value=float(token))
-    if token in ("true", "false"):
-        return LiteralExpr(value=token == "true")
-    return None
+#: ``_EXPRESSION_RE`` form -> constructor of the matched expression.
+_EXPRESSION_FORMS: Dict[Optional[str], Callable[["re.Match[str]"], Expression]] = {
+    "name": lambda m: VariableNameExpr(name=m["name"]),
+    "access": lambda m: AccessExpr(base=m["name"], field_name=m["access"]),
+    "index": lambda m: IndexingExpr(base=m["name"], index=m["index"]),
+    "binary": lambda m: BinaryExpr(op=m["binary_op"], left=m["name"], right=m["binary"]),
+    "instanceof": lambda m: InstanceOfExpr(
+        operand=m["name"], tested=parse_descriptor(m["instanceof"])
+    ),
+    "static": lambda m: StaticFieldAccessExpr(owner=m["static_owner"], field_name=m["static"]),
+    "cast": lambda m: CastExpr(target=parse_descriptor(m["cast_type"]), operand=m["cast"]),
+    "number": lambda m: LiteralExpr(
+        value=float(m["number"]) if m["fraction"] else int(m["number"])
+    ),
+    "unary": lambda m: UnaryExpr(op=m["unary_op"], operand=m["unary"]),
+    "cmp": lambda m: CmpExpr(op=m["cmp_op"], left=m["cmp_left"], right=m["cmp"]),
+    "length": lambda m: LengthExpr(operand=m["length"]),
+}
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse one right-hand-side expression (any of the 17 kinds)."""
+    """Parse one right-hand-side expression (any of the 17 kinds).
+
+    Exact words and prefixes are tested first, then one anchored
+    pattern decides every other form.
+    """
     text = text.strip()
     if text == "null":
         return NullExpr()
     if text == "Exception":
         return ExceptionExpr()
-    if text.startswith("new "):
-        return NewExpr(allocated=ObjectType(text[4:].strip()))
-    if text.startswith("constclass "):
-        return ConstClassExpr(referenced=ObjectType(text[len("constclass "):].strip()))
-    if text.startswith("call "):
-        callee, args = _parse_call_target(text[len("call "):])
-        return CallRhs(callee=callee, args=args)
-    literal = _parse_literal(text)
-    if literal is not None:
-        return literal
-    match = _CAST_RE.match(text)
+    if text == "true" or text == "false":
+        return LiteralExpr(value=text == "true")
+    word, space, rest = text.partition(" ")
+    if space:
+        if word == "new":
+            return NewExpr(allocated=ObjectType(rest.strip()))
+        if word == "constclass":
+            return ConstClassExpr(referenced=ObjectType(rest.strip()))
+        if word == "call":
+            callee, args = _parse_call_target(rest)
+            return CallRhs(callee=callee, args=args)
+    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+        inner = text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        return LiteralExpr(value=inner)
+    match = _EXPRESSION_RE.match(text)
     if match is not None:
-        return CastExpr(target=parse_descriptor(match.group(1)), operand=match.group(2))
+        return _EXPRESSION_FORMS[match.lastgroup](match)
     if text.startswith("(") and text.endswith(")"):
         inner = text[1:-1].strip()
         elements = tuple(e.strip() for e in inner.split(",")) if inner else ()
         return TupleExpr(elements=elements)
-    match = _CMP_RE.match(text)
-    if match is not None:
-        return CmpExpr(op=match.group(1), left=match.group(2), right=match.group(3))
-    match = _LENGTH_RE.match(text)
-    if match is not None:
-        return LengthExpr(operand=match.group(1))
-    match = _INSTANCEOF_RE.match(text)
-    if match is not None:
-        return InstanceOfExpr(
-            operand=match.group(1), tested=parse_descriptor(match.group(2))
-        )
-    match = _STATIC_RE.match(text)
-    if match is not None:
-        return StaticFieldAccessExpr(owner=match.group(1), field_name=match.group(2))
-    match = _INDEX_RE.match(text)
-    if match is not None:
-        return IndexingExpr(base=match.group(1), index=match.group(2))
-    match = _ACCESS_RE.match(text)
-    if match is not None:
-        return AccessExpr(base=match.group(1), field_name=match.group(2))
-    match = _BINARY_RE.match(text)
-    if match is not None:
-        return BinaryExpr(op=match.group(2), left=match.group(1), right=match.group(3))
-    match = _UNARY_RE.match(text)
-    if match is not None:
-        return UnaryExpr(op=match.group(1), operand=match.group(2))
-    if _VAR_RE.match(text):
-        return VariableNameExpr(name=text)
     raise ValueError(f"cannot parse expression: {text!r}")
 
 
@@ -207,44 +203,56 @@ def _parse_call_target(text: str) -> Tuple[str, Tuple[str, ...]]:
 def _parse_lhs(text: str) -> Tuple[str, Optional[Expression]]:
     """Parse an assignment left-hand side into (name, heap access)."""
     text = text.strip()
-    match = _STATIC_RE.match(text)
+    match = _EXPRESSION_RE.match(text)
     if match is not None:
-        access = StaticFieldAccessExpr(owner=match.group(1), field_name=match.group(2))
-        return access.global_slot, access
-    match = _INDEX_RE.match(text)
-    if match is not None:
-        return match.group(1), IndexingExpr(base=match.group(1), index=match.group(2))
-    match = _ACCESS_RE.match(text)
-    if match is not None:
-        return match.group(1), AccessExpr(base=match.group(1), field_name=match.group(2))
-    if _VAR_RE.match(text):
-        return text, None
+        if match.lastgroup == "name":
+            return text, None
+        if match.lastgroup in ("access", "index"):
+            return match["name"], _EXPRESSION_FORMS[match.lastgroup](match)
+        if match.lastgroup == "static":
+            access = StaticFieldAccessExpr(
+                owner=match["static_owner"], field_name=match["static"]
+            )
+            return access.global_slot, access
     raise ValueError(f"cannot parse assignment target: {text!r}")
 
 
 def parse_statement(label: str, text: str) -> Statement:
-    """Parse one statement body (text after the ``Lx:`` label)."""
+    """Parse one statement body (text after the ``Lx:`` label).
+
+    The first word picks the statement form, so a statement runs at most
+    one pattern; any other text is a switch, an assignment or malformed.
+    """
     text = text.strip()
-    if text == "nop":
-        return EmptyStatement(label=label)
-    if text == "return":
-        return ReturnStatement(label=label)
-    if text.startswith("return "):
-        return ReturnStatement(label=label, operand=text[len("return "):].strip())
-    if text.startswith("throw "):
-        return ThrowStatement(label=label, operand=text[len("throw "):].strip())
-    if text.startswith("monitorenter "):
-        return MonitorStatement(label=label, enter=True, operand=text.split()[1])
-    if text.startswith("monitorexit "):
-        return MonitorStatement(label=label, enter=False, operand=text.split()[1])
-    if text.startswith("goto "):
+    word, space, rest = text.partition(" ")
+    if not space:
+        if text == "nop":
+            return EmptyStatement(label=label)
+        if text == "return":
+            return ReturnStatement(label=label)
+    elif word == "return":
+        return ReturnStatement(label=label, operand=rest.strip())
+    elif word == "throw":
+        return ThrowStatement(label=label, operand=rest.strip())
+    elif word == "monitorenter" or word == "monitorexit":
+        return MonitorStatement(
+            label=label, enter=word == "monitorenter", operand=text.split()[1]
+        )
+    elif word == "goto":
         return GotoStatement(label=label, target=text.split()[1])
-    if text.startswith("if "):
-        match = re.match(rf"^if\s+({_IDENT})\s+then\s+goto\s+(\S+)$", text)
+    elif word == "if":
+        match = _IF_RE.match(text)
         if match is None:
             raise ValueError(f"malformed if: {text!r}")
         return IfStatement(label=label, condition=match.group(1), target=match.group(2))
-    match = _SWITCH_RE.match(text)
+    elif word == "call":
+        match = _CALL_STMT_RE.match(text)
+        if match is None:
+            raise ValueError(f"malformed call statement: {text!r}")
+        result, rest = match.group(1), match.group(2)
+        callee, args = _parse_call_target(rest)
+        return CallStatement(label=label, callee=callee, args=args, result=result)
+    match = _SWITCH_RE.match(text) if text.startswith("switch") else None
     if match is not None:
         operand, body = match.group(1), match.group(2)
         cases: List[Tuple[int, str]] = []
@@ -262,13 +270,6 @@ def parse_statement(label: str, text: str) -> Statement:
         return SwitchStatement(
             label=label, operand=operand, cases=tuple(cases), default=default
         )
-    if text.startswith("call "):
-        match = _CALL_STMT_RE.match(text)
-        if match is None:
-            raise ValueError(f"malformed call statement: {text!r}")
-        result, rest = match.group(1), match.group(2)
-        callee, args = _parse_call_target(rest)
-        return CallStatement(label=label, callee=callee, args=args, result=result)
     if ":=" in text:
         lhs_text, rhs_text = text.split(":=", 1)
         lhs, lhs_access = _parse_lhs(lhs_text)

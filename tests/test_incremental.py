@@ -422,6 +422,31 @@ class TestBaselineIndex:
         (index,) = (root / "apps").glob("*.json")
         assert json.loads(index.read_text())["keys"] == list(result.keys)
 
+    def test_unchanged_index_is_not_rewritten(self, tmp_path, monkeypatch):
+        app, root = _app(), tmp_path / "s"
+        result = analyze_app_incremental(app, MethodSummaryStore(root=root))
+        (index,) = (root / "apps").glob("*.json")
+        app_key = index.stem
+        writes = []
+        original = MethodSummaryStore._write
+
+        def counting(self, path, entry):
+            writes.append(path)
+            return original(self, path, entry)
+
+        monkeypatch.setattr(MethodSummaryStore, "_write", counting)
+        store = MethodSummaryStore(root=root)
+        analyze_app_incremental(app, store)
+        assert store.misses == 0 and writes == []
+        assert store.indexed(app_key)
+
+        # An entry listing other keys is rewritten with the pass's keys.
+        index.write_text(json.dumps({"keys": list(result.keys[:1])}))
+        analyze_app_incremental(app, MethodSummaryStore(root=root))
+        assert writes == [index]
+        assert json.loads(index.read_text())["keys"] == list(result.keys)
+        assert store.indexed(app_key)
+
     def test_indexed_baseline_decodes_no_baseline_entry(self, tmp_path):
         old, new = _bump()
         _seeded(tmp_path / "a", old)
