@@ -288,7 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout-s", type=float, default=None,
-        help="per-job wall-clock timeout (default: none)",
+        help="bound on an injected stall: a longer stall ends as a "
+        "timeout fault after this many seconds; no lane pre-empts a "
+        "running pipeline (default: none)",
     )
     serve.add_argument(
         "--strict", action="store_true",

@@ -12,10 +12,12 @@ Layout::
     queue.py    bounded intake with admission control / backpressure
     sharder.py  Table-I size-class batching + LPT worker placement
     faults.py   seeded fault injection (crash / OOM / corrupt / stall)
-    workers.py  device workers, job decoding, engine ladder
+    workers.py  the one job attempt, engine ladder, in-process lanes
+                (AsyncWorkerPool)
     journal.py  durable state: job journal + partitioned result stores
     pool.py     real OS-process worker lanes (ProcessWorkerPool)
-    service.py  the orchestrator: retries, backoff, accounting, obs
+    service.py  the orchestrator: one placement path, one result
+                handler, retries, backoff, accounting, obs
 
 Quickstart::
 
@@ -71,7 +73,7 @@ from repro.serve.service import (
     serve_stream,
     submit_paths,
 )
-from repro.serve.workers import DeviceWorker, ENGINE_LADDER, run_pipeline
+from repro.serve.workers import ENGINE_LADDER, run_pipeline
 
 __all__ = [
     "ALL_KINDS",
@@ -79,7 +81,6 @@ __all__ = [
     "AdmissionQueue",
     "CRASH_EXIT_CODE",
     "CorpusSource",
-    "DeviceWorker",
     "DirectoryFeed",
     "ENGINE_LADDER",
     "FaultConfig",

@@ -24,8 +24,9 @@ Kinds:
     Deterministic, therefore *not retryable*: the job fails with a
     structured error.
 ``stall``
-    The worker hangs before processing, long enough to trip the
-    per-job timeout; exercises the timeout -> retry path.
+    The worker hangs before processing; a hang longer than the
+    service's ``timeout_s`` ends as a ``timeout`` fault after
+    ``timeout_s``, which exercises the timeout -> retry path.
 """
 
 from __future__ import annotations

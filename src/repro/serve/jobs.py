@@ -1,16 +1,18 @@
 """Job records: the unit of work the vetting service tracks.
 
 A :class:`VetJob` is one app travelling through the service.  It is a
-mutable record: the service and its workers update the state machine
+mutable record: the orchestrator updates the state machine
 
-    pending -> admitted -> assigned -> running -> done | failed
-                              ^                     |
-                              +---- retry-wait <----+  (retryable fault)
+    pending -> admitted -> assigned -----------> done | failed
+                             ^    |
+                             |    +--> retry-wait  (retryable fault)
+                             +-----------+
 
-and append to the audit fields (workers visited, faults hit, backoff
-delays slept) as the job progresses.  ``to_json`` renders the record
-for the ``gdroid serve`` / ``gdroid submit`` CLIs, so every field here
-is part of the service's machine-readable surface.
+and appends to the audit fields (workers visited, faults hit, backoff
+delays slept) as the job progresses; lanes only see the job's spec.
+``to_json`` renders the record for the ``gdroid serve`` / ``gdroid
+submit`` CLIs, so every field here is part of the service's
+machine-readable surface.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class JobState:
     PENDING = "pending"
     ADMITTED = "admitted"
     ASSIGNED = "assigned"
-    RUNNING = "running"
     RETRY_WAIT = "retry-wait"
     DONE = "done"
     FAILED = "failed"

@@ -1,7 +1,9 @@
 """Real OS-process device workers behind the asyncio orchestrator.
 
 :class:`ProcessWorkerPool` is the scale-out counterpart of the
-in-process :class:`repro.serve.workers.DeviceWorker`: the orchestrator
+in-process :class:`repro.serve.workers.AsyncWorkerPool`, with the same
+submit / results / reap / restart / stop interface and the same
+:func:`repro.serve.workers.attempt` inside each lane: the orchestrator
 stays a single asyncio dispatcher, but each worker lane is a real OS
 process started from :func:`repro.bench.parallel.worker_context`
 (``fork`` where available, ``spawn`` otherwise -- the same machinery
@@ -32,14 +34,16 @@ boundary, indistinguishable (to the orchestrator) from ``kill -9``.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.faults import FaultConfig, FaultInjector
-from repro.serve.journal import PartitionResultStore, make_result_record
+from repro.serve.faults import FaultConfig, FaultInjector, WorkerCrash
+from repro.serve.journal import PartitionResultStore
+from repro.serve.workers import Device, attempt
 
 #: Exit code of an injected worker crash (``os._exit``): visibly
 #: distinct from a Python traceback's exit 1 in ``reap`` logs.
@@ -68,16 +72,16 @@ def _publish_starts(fd: int, started: int) -> None:
 class PoolSpec:
     """Everything a worker process needs, picklable for ``spawn``.
 
-    Exactly one of ``corpus`` (``(base_seed, size, profile)``) and
-    pure path-jobs mode is used per job: a job whose ``source`` is
-    ``"corpus"`` is regenerated by index, any other source is loaded
-    as a ``.gdx`` path.
+    ``corpus`` (``(base_seed, size, profile)``) regenerates the apps of
+    ``"corpus"`` jobs by index; any other job source is loaded as a
+    ``.gdx`` path.
     """
 
     state_dir: str
     corpus: Optional[Tuple[int, int, Any]] = None
     strict: bool = False
     vet: bool = True
+    timeout_s: Optional[float] = None
     fault_config: FaultConfig = FaultConfig()
     fault_jobs: int = 0
     fault_workers: int = 1
@@ -96,121 +100,41 @@ def _pool_worker_main(
     one process incarnation.
     """
     from repro.apk.corpus import AppCorpus
-    from repro.gpu.allocator import DeviceAllocator, DeviceOutOfMemory
-    from repro.serve.workers import ENGINE_LADDER
 
     corpus = None
     if spec.corpus is not None:
         base_seed, size, profile = spec.corpus
         corpus = AppCorpus(size=size, base_seed=base_seed, profile=profile)
-    injector = (
-        FaultInjector(spec.fault_config, spec.fault_jobs, spec.fault_workers)
-        if spec.fault_config.kinds
-        else None
+    injector = FaultInjector(
+        spec.fault_config, spec.fault_jobs, spec.fault_workers
     )
     store = PartitionResultStore(spec.state_dir)
-    allocator = DeviceAllocator()
+    device = Device(worker_id, started=start_at)
     progress_fd = os.open(
         _progress_path(spec.state_dir, worker_id),
         os.O_CREAT | os.O_WRONLY,
         0o644,
     )
-    rung = 0
-    started = start_at
     while True:
         task = task_queue.get()
         if task is None:
             return
         for job in task["jobs"]:
-            started += 1
-            # Publish the consumed count BEFORE the crash check so the
-            # marker is exact however this lane dies: injected crash
-            # (below), kill -9 mid-job, or kill -9 between jobs.
-            _publish_starts(progress_fd, started)
-            if injector is not None and injector.should_crash(
-                worker_id, started
-            ):
+            # Publish the start this attempt consumes BEFORE it checks
+            # the crash schedule, so the marker is exact however this
+            # lane dies: injected crash, kill -9 mid-job, or kill -9
+            # between jobs.
+            _publish_starts(progress_fd, device.started + 1)
+            try:
+                record = attempt(
+                    job, device, injector, corpus,
+                    spec.strict, spec.vet, spec.timeout_s,
+                )
+            except WorkerCrash:
                 # A real death at a job boundary: the orchestrator sees
                 # a dead process, exactly like kill -9 from outside.
                 os._exit(CRASH_EXIT_CODE)
-            try:
-                record = _attempt(
-                    job, worker_id, corpus, injector, allocator,
-                    ENGINE_LADDER[rung], spec,
-                    started,
-                )
-            except DeviceOutOfMemory as error:
-                # Device heap blew: degrade this lane one rung and ask
-                # the orchestrator to retry the job elsewhere/later.
-                rung = min(rung + 1, len(ENGINE_LADDER) - 1)
-                allocator.reset()
-                record = make_result_record(
-                    job["job_id"], job["attempt"], worker_id, "fault",
-                    fault="oom", engine=ENGINE_LADDER[rung],
-                    healthy=rung == 0, error=str(error),
-                )
-            except Exception as error:  # noqa: BLE001 - jobs stay accounted
-                record = make_result_record(
-                    job["job_id"], job["attempt"], worker_id, "fault",
-                    fault="error", engine=ENGINE_LADDER[rung],
-                    healthy=rung == 0,
-                    error=f"{type(error).__name__}: {error}",
-                )
             store.write(worker_id, job["job_id"], job["attempt"], record)
-
-
-def _attempt(
-    job: Dict[str, Any],
-    worker_id: int,
-    corpus,
-    injector: Optional[FaultInjector],
-    allocator,
-    engine: str,
-    spec: PoolSpec,
-    started: int,
-) -> Dict[str, Any]:
-    """One synchronous processing attempt inside a worker process."""
-    from repro.apk.diff import BaselineError
-    from repro.apk.dex import GdxFormatError
-    from repro.apk.loader import load_gdx
-    from repro.serve.workers import (
-        ENGINE_GDROID,
-        corrupt_roundtrip,
-        job_options,
-        run_pipeline,
-    )
-
-    index = job["index"]
-    if injector is not None:
-        stall = injector.stall_seconds(index)
-        if stall:
-            time.sleep(stall)
-    try:
-        if job["source"] == "corpus":
-            app = corpus.app(index)
-        else:
-            app = load_gdx(job["source"])
-        if injector is not None and injector.is_corrupt(index):
-            corrupt_roundtrip(app)
-        if injector is not None and injector.should_oom(worker_id, started):
-            # Blow the real device-heap model; caught by the worker loop.
-            allocator.reserve(allocator.spec.global_memory_bytes + 1)
-        options = job_options(job, app)
-    except (OSError, GdxFormatError, BaselineError) as error:
-        return make_result_record(
-            job["job_id"], job["attempt"], worker_id, "corrupt",
-            engine=engine, error=str(error),
-        )
-    result = run_pipeline(
-        app, index, engine, spec.strict, spec.vet, **options
-    )
-    return make_result_record(
-        job["job_id"], job["attempt"], worker_id, "ok",
-        engine=engine, healthy=engine == ENGINE_GDROID,
-        row=result.row, verdict=result.verdict,
-        risk_score=result.risk_score, findings=result.findings,
-        latency_s=result.latency_s, incremental=result.incremental,
-    )
 
 
 class ProcessWorkerPool:
@@ -237,8 +161,6 @@ class ProcessWorkerPool:
         #: Results seen from each lane since its last (re)start.
         self._lane_results: List[int] = [0] * workers
         self._seen: set = set()
-        #: Lane restarts after unexpected process death.
-        self.restarts = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -302,6 +224,11 @@ class ProcessWorkerPool:
 
     # -- results / liveness ----------------------------------------------------
 
+    async def results(self) -> List[Dict[str, Any]]:
+        """Fresh result records, polled off the event loop."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.poll, 0.02)
+
     def poll(self, timeout_s: float = 0.0) -> List[Dict[str, Any]]:
         """Fresh result records, blocking up to ``timeout_s`` for one."""
         deadline = time.monotonic() + timeout_s
@@ -357,5 +284,4 @@ class ProcessWorkerPool:
         corpse have already been re-dispatched by the orchestrator, so
         serving them from the replacement process would double-serve.
         """
-        self.restarts += 1
         self._spawn(worker_id)

@@ -10,12 +10,18 @@ layer a long-running vetting deployment needs:
   and LPT-places batches onto N simulated device workers
   (:mod:`repro.serve.sharder`, reusing the multi-GPU placement);
 * per-job retry with exponential backoff + deterministic jitter, and
-  an optional per-job timeout;
+  an optional timeout on injected stalls;
 * pluggable fault injection (:mod:`repro.serve.faults`) driving the
   crash / OOM / corrupt-APK / stall paths in tests and soak runs;
 * graceful degradation: an OOM marks a device unhealthy and its worker
   falls down the engine ladder (GDroid -> plain GPU -> multicore CPU)
   instead of going dark (:mod:`repro.serve.workers`).
+
+Both lane kinds -- in-process (:class:`repro.serve.workers.AsyncWorkerPool`)
+and OS processes (:class:`repro.serve.pool.ProcessWorkerPool`) -- run
+the same attempt and answer through the same result records, so the
+orchestrator has one placement path, one result handler and one
+lane-death handler.
 
 Everything is observable: the run is wrapped in :mod:`repro.obs` spans
 and counters, so ``gdroid serve --soak --profile P`` exports one
@@ -49,7 +55,7 @@ from typing import (
 
 from repro import obs
 from repro.apk.corpus import AppCorpus
-from repro.bench.harness import PipelineResult, check_options
+from repro.bench.harness import check_options
 from repro.serve.faults import (
     CORRUPT_APK,
     DEVICE_OOM,
@@ -66,14 +72,13 @@ from repro.serve.journal import (
     PartitionResultStore,
     job_from_spec,
     job_spec,
-    make_result_record,
     replay_journal,
     row_from_payload,
 )
 from repro.serve.pool import PoolSpec, ProcessWorkerPool
 from repro.serve.queue import AdmissionQueue
 from repro.serve.sharder import JobBatch, Sharder, classify, make_batches
-from repro.serve.workers import DeviceWorker
+from repro.serve.workers import AsyncWorkerPool
 
 
 class ServiceCrash(RuntimeError):
@@ -105,7 +110,9 @@ class ServeConfig:
     retry_seed: int = 7
     #: Small-app batch width (Table-I size classes).
     small_batch_max: int = 4
-    #: Per-job wall-clock timeout (None = no timeout).
+    #: Timeout on an injected stall: a longer stall ends as a
+    #: ``timeout`` fault after this many seconds (None = no timeout).
+    #: Neither lane kind pre-empts a running pipeline.
     timeout_s: Optional[float] = None
     #: Crash-restart delay for a dead worker.
     restart_delay_s: float = 0.002
@@ -113,8 +120,9 @@ class ServeConfig:
     strict: bool = False
     #: Run the taint/vetting plugin and record verdicts.
     vet: bool = True
-    #: Worker execution: ``"async"`` (in-process simulated devices) or
-    #: ``"process"`` (real OS worker processes via
+    #: Worker execution: ``"async"`` (in-process simulated devices via
+    #: :class:`repro.serve.workers.AsyncWorkerPool`) or ``"process"``
+    #: (real OS worker processes via
     #: :class:`repro.serve.pool.ProcessWorkerPool`).
     pool: str = "async"
     #: Multiprocessing start method for ``pool="process"`` (None = the
@@ -125,9 +133,10 @@ class ServeConfig:
     #: fsync the journal after every record (power-loss durability;
     #: default is process-crash durability only).
     journal_fsync: bool = False
-    #: Partitioned result-store root (required for ``pool="process"``;
-    #: in async mode it additionally persists completed rows so a
-    #: recovery run can reload them).
+    #: Partitioned result-store root: every attempt's result record is
+    #: published there before the orchestrator acts on it, so a
+    #: recovery run can reload finished rows (``pool="process"`` uses
+    #: a temporary directory when None: it is the result channel).
     state_dir: Optional[str] = None
     #: Simulated orchestrator death: raise :class:`ServiceCrash` once
     #: this many jobs reached a terminal state (None = run to the end).
@@ -139,9 +148,10 @@ class CorpusSource:
 
     def __init__(self, corpus: AppCorpus) -> None:
         self.corpus = corpus
-        # The sharder needs sizes before evaluation and the worker the
-        # app itself; memoise so each corpus app generates once.
-        self._app = functools.lru_cache(maxsize=512)(corpus.app)
+        #: The corpus app by index.  The sharder needs sizes before
+        #: evaluation and in-process lanes the app itself; memoised so
+        #: each corpus app generates once.
+        self.app = functools.lru_cache(maxsize=512)(corpus.app)
 
     def jobs(
         self,
@@ -177,7 +187,7 @@ class CorpusSource:
         count = self.corpus.size if count is None else count
         jobs = []
         for index in range(count):
-            app = self._app(index)
+            app = self.app(index)
             nodes = app.describe()["cfg_nodes"]
             job_targets = None
             if targets is not None and index % max(1, targeted_every) == 0:
@@ -200,18 +210,6 @@ class CorpusSource:
                 )
             )
         return jobs
-
-    def app_for(self, job: VetJob):
-        if job.source != "corpus":
-            # Journal recovery replays watch/path-fed runs through a
-            # corpus-backed service: those jobs carry their .gdx path
-            # in ``source`` and must be loaded from it, never
-            # regenerated by index (the process-pool workers make the
-            # same branch in ``pool._attempt``).
-            from repro.apk.loader import load_gdx
-
-            return load_gdx(job.source)
-        return self._app(job.index)
 
 
 class PathSource:
@@ -241,18 +239,13 @@ class PathSource:
             )
         return jobs
 
-    def app_for(self, job: VetJob):
-        from repro.apk.loader import load_gdx
-
-        return load_gdx(self.paths[job.index])
-
 
 class _PathFeedBase:
     """Shared plumbing of the streaming admission feeds.
 
     A feed doubles as the service's app *source*: streamed jobs carry
-    their ``.gdx`` path in ``source``, and :meth:`app_for` loads from
-    it directly (no index table -- the job set is open-ended).
+    their ``.gdx`` path in ``source``, which the lanes load from
+    directly (no index table -- the job set is open-ended).
 
     Every streamed job carries the feed's ``rules`` pack name,
     ``resolve_icc`` mode and ``baseline`` ref, as corpus and ``submit``
@@ -271,11 +264,6 @@ class _PathFeedBase:
             "resolve_icc": resolve_icc,
             "baseline": baseline,
         }
-
-    def app_for(self, job: VetJob):
-        from repro.apk.loader import load_gdx
-
-        return load_gdx(job.source)
 
     def _job_for(self, path: Path) -> VetJob:
         index = self._next_index
@@ -482,22 +470,6 @@ def backoff_fraction(seed: int, job_id: str, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
-@dataclass(frozen=True)
-class _LaneProxy:
-    """Worker-shaped view of a pool lane for the outcome hooks.
-
-    The hooks (:meth:`VettingService.on_job_success` & co.) only read
-    ``worker_id`` / ``engine`` / ``healthy`` from their worker
-    argument, so pooled results -- where the real worker lives in
-    another process -- present this stand-in built from the published
-    result record.
-    """
-
-    worker_id: int
-    engine: Optional[str] = None
-    healthy: bool = True
-
-
 class VettingService:
     """Asyncio orchestrator tying queue, sharder, workers and faults."""
 
@@ -512,25 +484,23 @@ class VettingService:
         self.injector = injector or NULL_INJECTOR
         self.counters: Dict[str, float] = {}
         self.sharder = Sharder(self.config.workers)
-        self._workers: List[DeviceWorker] = []
         self._intake: Optional[AdmissionQueue] = None
         self._terminal = 0
         self._total = 0
         self._all_done: Optional[asyncio.Event] = None
         self._retry_tasks: List[asyncio.Task] = []
-        # Durable-state / process-pool plumbing (None in plain async
-        # runs without a journal or state dir).
         self._journal: Optional[JobJournal] = None
-        self._store: Optional[PartitionResultStore] = None
-        self._pool: Optional[ProcessWorkerPool] = None
+        #: The lanes: an :class:`AsyncWorkerPool` or a
+        #: :class:`ProcessWorkerPool`, driven through one interface.
+        self._pool: Any = None
         self._jobs: List[VetJob] = []
         self._jobs_by_id: Dict[str, VetJob] = {}
-        #: Per-lane in-flight jobs (pooled mode crash rehoming).
+        #: Per-lane in-flight jobs, retried when their lane dies.
         self._owned: List[Dict[str, VetJob]] = []
         self._lane_loads: List[float] = []
-        #: Lane liveness (pooled mode): False between reap and restart,
-        #: when the lane's queue belongs to a corpse and anything
-        #: submitted to it would be silently dropped by the restart.
+        #: Lane liveness: False between reap and restart, when the
+        #: lane's queue belongs to a corpse and anything submitted to it
+        #: would be silently dropped by the restart.
         self._lane_alive: List[bool] = []
         #: Batches parked because every lane was dead at placement time.
         self._deferred: List[JobBatch] = []
@@ -554,21 +524,22 @@ class VettingService:
         """Synchronous front door: drive :meth:`serve` to completion."""
         return asyncio.run(self.serve(jobs, feed=feed, recovered=recovered))
 
-    def _open_durable_state(self) -> None:
+    def _build_pool(self):
         config = self.config
-        if config.journal_path:
-            self._journal = JobJournal(
-                config.journal_path, fsync=config.journal_fsync
+        if config.pool != "process":
+            # In-process lanes share the source's memoised corpus apps.
+            corpus = (
+                self.source if isinstance(self.source, CorpusSource) else None
             )
-        if config.state_dir and config.pool != "process":
-            # Async-mode durability: the orchestrator itself persists
-            # completed rows (pooled workers write their own store).
-            self._store = PartitionResultStore(config.state_dir)
-            if self._store.tmp_purged:
-                self._count("serve.store.tmp_purged", self._store.tmp_purged)
-
-    def _build_pool(self) -> ProcessWorkerPool:
-        config = self.config
+            store = (
+                PartitionResultStore(config.state_dir)
+                if config.state_dir
+                else None
+            )
+            return AsyncWorkerPool(
+                config.workers, self.injector, corpus, config.strict,
+                config.vet, config.timeout_s, store,
+            )
         state_dir = config.state_dir or tempfile.mkdtemp(
             prefix="gdroid-serve-"
         )
@@ -582,6 +553,7 @@ class VettingService:
             ),
             strict=config.strict,
             vet=config.vet,
+            timeout_s=config.timeout_s,
             fault_config=self.injector.config,
             fault_jobs=self.injector.jobs,
             fault_workers=config.workers,
@@ -612,8 +584,10 @@ class VettingService:
         self._all_done = asyncio.Event()
         self._intake = AdmissionQueue(config.queue_capacity)
         self._jobs_by_id = {job.job_id: job for job in self._jobs}
-        self._open_durable_state()
-        pooled = config.pool == "process"
+        if config.journal_path:
+            self._journal = JobJournal(
+                config.journal_path, fsync=config.journal_fsync
+            )
         self._maybe_all_done()
         started = time.perf_counter()
         with obs.span(
@@ -623,27 +597,16 @@ class VettingService:
             workers=config.workers,
             pool=config.pool,
         ):
-            if pooled:
-                self._owned = [{} for _ in range(config.workers)]
-                self._lane_loads = [0.0] * config.workers
-                self._lane_alive = [True] * config.workers
-                self._deferred = []
-                self._pool = self._build_pool()
-                if self._pool.store.tmp_purged:
-                    self._count(
-                        "serve.store.tmp_purged", self._pool.store.tmp_purged
-                    )
-                self._pool.start()
-                worker_tasks = [asyncio.ensure_future(self._pump_loop())]
-            else:
-                self._workers = [
-                    DeviceWorker(worker_id, self)
-                    for worker_id in range(config.workers)
-                ]
-                worker_tasks = [
-                    asyncio.ensure_future(worker.run())
-                    for worker in self._workers
-                ]
+            self._owned = [{} for _ in range(config.workers)]
+            self._lane_loads = [0.0] * config.workers
+            self._lane_alive = [True] * config.workers
+            self._deferred = []
+            self._pool = self._build_pool()
+            store = self._pool.store
+            if store is not None and store.tmp_purged:
+                self._count("serve.store.tmp_purged", store.tmp_purged)
+            self._pool.start()
+            pump = asyncio.ensure_future(self._pump_loop())
             dispatcher = asyncio.ensure_future(self._dispatch_loop())
             feed_task = (
                 asyncio.ensure_future(self._feed_loop(feed))
@@ -661,16 +624,9 @@ class VettingService:
                     feed_task.cancel()
                 for task in self._retry_tasks:
                     task.cancel()
-                if pooled:
-                    for task in worker_tasks:
-                        task.cancel()
-                    await asyncio.gather(*worker_tasks, return_exceptions=True)
-                    assert self._pool is not None
-                    self._pool.stop(kill=self._crashed)
-                else:
-                    for worker in self._workers:
-                        worker.queue.put_nowait(None)
-                    await asyncio.gather(*worker_tasks, return_exceptions=True)
+                pump.cancel()
+                await asyncio.gather(pump, return_exceptions=True)
+                self._pool.stop(kill=self._crashed)
                 if self._journal is not None:
                     self._journal.close()
                     self._journal = None
@@ -726,39 +682,20 @@ class VettingService:
             self._place(batches)
 
     def _place(self, batches: Sequence[JobBatch]) -> None:
-        if self._pool is not None:
-            self._place_pooled(batches)
-            return
-        loads = [worker.load for worker in self._workers]
-        placement = self.sharder.assign(batches, loads)
-        for worker, worker_batches in zip(self._workers, placement):
-            for batch in worker_batches:
-                for job in batch.jobs:
-                    job.state = JobState.ASSIGNED
-                    worker.load += job.est_cost
-                    if self._journal is not None:
-                        self._journal.assign(job, worker.worker_id)
-                worker.queue.put_nowait(batch)
-                self._count("serve.dispatched", len(batch.jobs))
+        """LPT-place batches onto live lanes, one attempt per job.
 
-    def _place_pooled(self, batches: Sequence[JobBatch]) -> None:
-        """LPT-place batches onto worker-process lanes.
-
-        Unlike the async path (where :class:`DeviceWorker` stamps the
-        attempt as it starts processing), the orchestrator accounts the
-        attempt at dispatch: the worker process cannot mutate this
-        process's job records, and the attempt number is what ties a
-        published result record back to the dispatch that caused it.
+        The orchestrator stamps each attempt at dispatch and journals
+        it: the attempt number is what ties a result record back to the
+        dispatch that caused it, whichever lane kind runs it.
 
         A reaped-but-not-yet-restarted lane must never be a target: its
-        queue belongs to a corpse and :meth:`ProcessWorkerPool.restart`
-        swaps in a fresh one, so anything submitted in the window would
-        be dropped and the job stuck ASSIGNED forever.  Dead lanes are
-        presented to LPT with infinite load (never the minimum while a
-        live lane exists); if *every* lane is dead the batches are
-        parked on ``_deferred`` and re-placed after the next restart.
+        queue belongs to a corpse and the restart swaps in a fresh one,
+        so anything submitted in the window would be dropped and the
+        job stuck ASSIGNED forever.  Dead lanes are presented to LPT
+        with infinite load (never the minimum while a live lane
+        exists); if *every* lane is dead the batches are parked on
+        ``_deferred`` and re-placed after the next restart.
         """
-        assert self._pool is not None
         loads = [
             load if self._lane_alive[worker_id] else float("inf")
             for worker_id, load in enumerate(self._lane_loads)
@@ -789,47 +726,38 @@ class VettingService:
                 self._count("serve.dispatched", len(batch.jobs))
 
     async def _pump_loop(self) -> None:
-        """Pooled mode: poll result partitions, reap and restart lanes.
-
-        The blocking filesystem poll runs on the loop's executor so the
-        orchestrator stays responsive; lane death is detected by exit
-        code and every job the lane still owned is retried, exactly
-        like the async path's :meth:`on_worker_crash`.
-        """
-        assert self._pool is not None
-        loop = asyncio.get_running_loop()
+        """Act on result records and dead lanes as the lanes report them."""
         while True:
-            records = await loop.run_in_executor(None, self._pool.poll, 0.02)
-            for record in records:
-                self._handle_pool_result(record)
+            for record in await self._pool.results():
+                self._on_result(record)
             for worker_id in self._pool.reap():
-                self._count("serve.worker_crashes")
-                # Dead until restarted: the await below yields to the
-                # dispatcher and expiring retry tasks, and their
-                # placements must not target this lane's corpse queue
-                # (restart() discards it, losing the jobs forever).
-                self._lane_alive[worker_id] = False
-                orphans = list(self._owned[worker_id].values())
-                self._owned[worker_id].clear()
-                self._lane_loads[worker_id] = 0.0
-                for job in orphans:
-                    if job.state not in (JobState.ASSIGNED, JobState.RUNNING):
-                        continue
-                    self._retry_or_fail(
-                        job,
-                        WORKER_CRASH,
-                        f"worker process {worker_id} died",
-                    )
-                await asyncio.sleep(self.config.restart_delay_s)
-                self._pool.restart(worker_id)
-                self._lane_alive[worker_id] = True
-                self._count("serve.pool.restarts")
+                await self._on_lane_death(worker_id)
             if self._deferred and any(self._lane_alive):
                 deferred, self._deferred = self._deferred, []
-                self._place_pooled(deferred)
+                self._place(deferred)
 
-    def _handle_pool_result(self, record: Dict[str, Any]) -> None:
-        """Route one published result record through the outcome hooks.
+    async def _on_lane_death(self, worker_id: int) -> None:
+        """Retry every job a dead lane owned, then restart the lane."""
+        self._count("serve.worker_crashes")
+        # Dead until restarted: the await below yields to the dispatcher
+        # and expiring retry tasks, and their placements must not target
+        # this lane's corpse queue (restart() discards it, losing the
+        # jobs forever).
+        self._lane_alive[worker_id] = False
+        orphans = list(self._owned[worker_id].values())
+        self._owned[worker_id].clear()
+        self._lane_loads[worker_id] = 0.0
+        for job in orphans:
+            if job.state != JobState.ASSIGNED:
+                continue
+            self._retry_or_fail(job, WORKER_CRASH, f"worker {worker_id} died")
+        await asyncio.sleep(self.config.restart_delay_s)
+        self._pool.restart(worker_id)
+        self._lane_alive[worker_id] = True
+        self._count("serve.pool.restarts")
+
+    def _on_result(self, record: Dict[str, Any]) -> None:
+        """Account one attempt's result record and apply the retry policy.
 
         A record is *stale* when its job is already terminal or its
         attempt stamp is not the job's current attempt -- e.g. a lane
@@ -837,6 +765,10 @@ class VettingService:
         and the job was already re-dispatched.  Stale records are
         counted and dropped; acting on them would double-finish.
         """
+        if self._crashed:
+            # A dead orchestrator acts on nothing more, even on records
+            # that arrived in the same poll as the one that killed it.
+            return
         job = self._jobs_by_id.get(record.get("job_id", ""))
         if (
             job is None
@@ -851,44 +783,58 @@ class VettingService:
             self._lane_loads[worker_id] = max(
                 0.0, self._lane_loads[worker_id] - job.est_cost
             )
-        lane = _LaneProxy(
-            worker_id=worker_id,
-            engine=record.get("engine"),
-            healthy=bool(record.get("healthy", True)),
-        )
         kind = record.get("kind")
+        engine = record.get("engine")
+        error = record.get("error") or ""
         if kind == "ok":
-            self.on_job_success(
-                job,
-                lane,
-                PipelineResult(
-                    row=row_from_payload(record.get("row")),
-                    verdict=record.get("verdict"),
-                    risk_score=record.get("risk_score"),
-                    latency_s=record.get("latency_s"),
-                    findings=record.get("findings"),
-                    incremental=record.get("incremental"),
-                ),
-            )
+            job.row = row_from_payload(record.get("row"))
+            job.verdict = record.get("verdict")
+            job.risk_score = record.get("risk_score")
+            job.findings = record.get("findings")
+            job.modeled_latency_s = record.get("latency_s")
+            job.engine = engine
+            if job.findings:
+                self._count("serve.findings", job.findings)
+            incremental = record.get("incremental")
+            if incremental:
+                self._count("serve.incremental.jobs")
+                self._count(
+                    "serve.incremental.hits", incremental.get("hits", 0)
+                )
+                self._count(
+                    "serve.incremental.misses", incremental.get("misses", 0)
+                )
+                self._count(
+                    "serve.incremental.reused_methods",
+                    incremental.get("methods_reused", 0),
+                )
+                self._count(
+                    "serve.incremental.baseline_replays",
+                    int(incremental.get("baseline_replayed", False)),
+                )
+            if not record.get("healthy", True):
+                self._count(f"serve.fallback.{engine}")
+            self._finish(job, JobState.DONE)
         elif kind == "corrupt":
-            self.on_corrupt_apk(job, lane, record.get("error") or "")
-        elif record.get("fault") == "oom":
-            self.on_device_oom(
-                job, lane, record.get("engine") or "", record.get("error") or ""
-            )
+            # A corrupt container is deterministic: fail, never retry.
+            job.faults.append(CORRUPT_APK)
+            job.error = f"corrupt apk: {error}"
+            job.engine = engine
+            self._count("serve.corrupt_apks")
+            self._finish(job, JobState.FAILED)
         else:
-            self._count("serve.worker_faults")
-            self._retry_or_fail(
-                job,
-                record.get("fault") or "error",
-                record.get("error") or "worker fault",
-            )
+            fault = record.get("fault") or "error"
+            if fault == DEVICE_OOM:
+                self._count("serve.oom_events")
+                self._count("serve.degraded")
+                error = f"device OOM: {error}"
+            elif fault == TIMEOUT:
+                self._count("serve.timeouts")
+            else:
+                self._count("serve.worker_faults")
+            self._retry_or_fail(job, fault, error or "worker fault")
 
-    def _redispatch(self, job: VetJob) -> None:
-        """Re-place one retried job (already admitted: bypass intake)."""
-        self._place([JobBatch(jobs=[job])])
-
-    # -- outcome hooks (called by workers) -------------------------------------
+    # -- terminal states -------------------------------------------------------
 
     def _maybe_all_done(self) -> None:
         """Signal completion: every admitted job terminal, feed drained."""
@@ -913,26 +859,6 @@ class VettingService:
                 self._journal.complete(job)
             else:
                 self._journal.fail(job)
-        if self._store is not None and state == JobState.DONE:
-            # Async-mode durability: persist the finished row so a
-            # recovery run reloads it instead of re-evaluating the app.
-            self._store.write(
-                0,
-                job.job_id,
-                job.attempts,
-                make_result_record(
-                    job.job_id,
-                    job.attempts,
-                    0,
-                    "ok",
-                    engine=job.engine,
-                    row=job.row,
-                    verdict=job.verdict,
-                    risk_score=job.risk_score,
-                    findings=job.findings,
-                    latency_s=job.modeled_latency_s,
-                ),
-            )
         if (
             self.config.crash_after is not None
             and self._terminal >= self.config.crash_after
@@ -945,78 +871,6 @@ class VettingService:
                 self._all_done.set()
             return
         self._maybe_all_done()
-
-    def on_job_success(
-        self, job: VetJob, worker: DeviceWorker, result: PipelineResult
-    ) -> None:
-        job.row = result.row
-        job.verdict = result.verdict
-        job.risk_score = result.risk_score
-        job.findings = result.findings
-        job.modeled_latency_s = result.latency_s
-        job.engine = worker.engine
-        if result.findings:
-            self._count("serve.findings", result.findings)
-        incremental = getattr(result, "incremental", None)
-        if incremental:
-            self._count("serve.incremental.jobs")
-            self._count("serve.incremental.hits", incremental.get("hits", 0))
-            self._count(
-                "serve.incremental.misses", incremental.get("misses", 0)
-            )
-            self._count(
-                "serve.incremental.reused_methods",
-                incremental.get("methods_reused", 0),
-            )
-            self._count(
-                "serve.incremental.baseline_replays",
-                int(incremental.get("baseline_replayed", False)),
-            )
-        if not worker.healthy:
-            self._count(f"serve.fallback.{worker.engine}")
-        self._finish(job, JobState.DONE)
-
-    def on_corrupt_apk(
-        self, job: VetJob, worker: DeviceWorker, error: str
-    ) -> None:
-        """Corrupt container: deterministic, so fail without retrying."""
-        job.faults.append(CORRUPT_APK)
-        job.error = f"corrupt apk: {error}"
-        job.engine = worker.engine
-        self._count("serve.corrupt_apks")
-        self._finish(job, JobState.FAILED)
-
-    def on_device_oom(
-        self, job: VetJob, worker: DeviceWorker, engine: str, error: str
-    ) -> None:
-        """Device heap blew: degrade the worker, retry the job."""
-        self._count("serve.oom_events")
-        self._count("serve.degraded")
-        self._retry_or_fail(job, DEVICE_OOM, f"device OOM: {error}")
-
-    def on_job_fault(
-        self, job: VetJob, worker: DeviceWorker, kind: str, error: str
-    ) -> None:
-        if kind == TIMEOUT:
-            self._count("serve.timeouts")
-        self._retry_or_fail(job, kind, error)
-
-    def on_worker_crash(
-        self, worker: DeviceWorker, unfinished: Sequence[VetJob]
-    ) -> None:
-        """A worker died mid-batch: retry every job the batch still owns.
-
-        Jobs in ``retry-wait`` are *not* owned by the batch any more --
-        a pending retry task holds them, and retrying here too would
-        double-dispatch (duplicated results, early completion).
-        """
-        self._count("serve.worker_crashes")
-        for job in unfinished:
-            if job.state not in (JobState.ASSIGNED, JobState.RUNNING):
-                continue
-            self._retry_or_fail(
-                job, WORKER_CRASH, f"worker {worker.worker_id} crashed"
-            )
 
     # -- retry policy ----------------------------------------------------------
 
@@ -1053,7 +907,8 @@ class VettingService:
         job.backoffs_s.append(delay)
         self._count("serve.backoff_s", delay)
         await asyncio.sleep(delay)
-        self._redispatch(job)
+        # Already admitted: re-place directly, bypassing intake.
+        self._place([JobBatch(jobs=[job])])
 
 
 # -- high-level entry points ---------------------------------------------------

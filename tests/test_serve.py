@@ -17,7 +17,7 @@ import pytest
 from repro import obs
 from repro.apk.corpus import AppCorpus
 from repro.apk.generator import GeneratorProfile
-from repro.bench.harness import AppEvaluation, evaluate_corpus
+from repro.bench.harness import AppEvaluation, engine_latency_s, evaluate_corpus
 from repro.serve import (
     AdmissionError,
     AdmissionQueue,
@@ -40,11 +40,25 @@ from repro.serve.workers import (
     ENGINE_GDROID,
     ENGINE_LADDER,
     ENGINE_PLAIN,
-    engine_latency_s,
 )
 
 #: Small, fast corpus profile shared by the service tests.
 SERVE_PROFILE = GeneratorProfile(scale=0.06)
+
+#: The two lane kinds, which must give the same answer.
+LANE_KINDS = ("async", "process")
+
+
+def _lane_config(pool: str, tmp_path, **overrides) -> ServeConfig:
+    """A config for one lane kind: process lanes fork and publish their
+    records under a per-test state dir."""
+    if pool == "process":
+        overrides.update(
+            pool="process",
+            start_method="fork",
+            state_dir=str(tmp_path / "state"),
+        )
+    return ServeConfig(**overrides)
 
 
 def _job(index: int, cost: float = 100.0, size_class: str = "small") -> VetJob:
@@ -216,11 +230,12 @@ class TestService:
         assert report.counters["serve.submitted"] == 6
         assert report.counters["serve.completed"] == 6
 
-    def test_worker_crash_retries_without_loss(self):
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_worker_crash_retries_without_loss(self, pool, tmp_path):
         corpus = AppCorpus(size=10, base_seed=910200, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=3),
+            config=_lane_config(pool, tmp_path, workers=3),
             inject=frozenset({"worker-crash"}),
         )
         assert report.ok and report.failed == 0
@@ -232,11 +247,12 @@ class TestService:
             assert job.state == JobState.DONE
             assert job.backoffs_s, "retries must sleep a backoff"
 
-    def test_oom_degrades_down_the_ladder(self):
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_oom_degrades_down_the_ladder(self, pool, tmp_path):
         corpus = AppCorpus(size=10, base_seed=910300, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=2),
+            config=_lane_config(pool, tmp_path, workers=2),
             inject=frozenset({"oom"}),
             ooms_per_worker=2,
         )
@@ -264,11 +280,14 @@ class TestService:
         for index, row in report.rows().items():
             assert row == direct[index]
 
-    def test_corrupt_apk_fails_structurally_without_retry(self):
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_corrupt_apk_fails_structurally_without_retry(
+        self, pool, tmp_path
+    ):
         corpus = AppCorpus(size=8, base_seed=910500, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=2),
+            config=_lane_config(pool, tmp_path, workers=2),
             inject=frozenset({"corrupt-apk"}),
             corrupt_fraction=0.4,
         )
@@ -283,12 +302,13 @@ class TestService:
         clean = [job for job in report.jobs if job.state == JobState.DONE]
         assert len(clean) + len(corrupt) == 8
 
-    def test_stall_trips_timeout_and_is_retried(self):
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_stall_trips_timeout_and_is_retried(self, pool, tmp_path):
         corpus = AppCorpus(size=4, base_seed=910600, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(
-                workers=2, timeout_s=0.05, max_attempts=2
+            config=_lane_config(
+                pool, tmp_path, workers=2, timeout_s=0.05, max_attempts=2
             ),
             inject=frozenset({"stall"}),
             stall_fraction=0.5,
@@ -304,11 +324,76 @@ class TestService:
             assert job.state == JobState.FAILED
             assert "retries exhausted" in job.error
 
-    def test_retries_exhaust_into_failure(self):
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_journal_stamps_each_attempt_at_dispatch(self, pool, tmp_path):
+        """The n-th ``assign`` record of a job carries attempt n, and its
+        terminal record the last of them, whichever lane kind ran it."""
+        from repro.serve import replay_journal
+
+        journal = tmp_path / "journal.jsonl"
+        corpus = AppCorpus(size=4, base_seed=910600, profile=SERVE_PROFILE)
+        report = run_soak(
+            corpus,
+            config=_lane_config(
+                pool, tmp_path, workers=2, timeout_s=0.05, max_attempts=2,
+                journal_path=str(journal),
+            ),
+            inject=frozenset({"stall"}),
+            stall_fraction=0.5,
+            stall_s=0.5,
+        )
+        assert report.ok
+        stamps, finals = {}, {}
+        for record in replay_journal(journal).records:
+            if record["ev"] == "assign":
+                stamps.setdefault(record["job"], []).append(record["attempt"])
+            elif record["ev"] in ("complete", "fail"):
+                finals[record["job"]] = record["attempts"]
+        assert any(len(attempts) > 1 for attempts in stamps.values())
+        for job in report.jobs:
+            attempts = stamps[job.job_id]
+            assert attempts == list(range(1, len(attempts) + 1))
+            assert finals[job.job_id] == attempts[-1] == job.attempts
+
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_row_is_stored_before_its_terminal_record(
+        self, pool, tmp_path, monkeypatch
+    ):
+        """With a state dir, a job's result record is in the partition
+        store before the journal says it completed: an orchestrator
+        killed between the two must never recover a row-less DONE job."""
+        from repro.serve import JobJournal, PartitionResultStore
+
+        state = tmp_path / "state"
+        unstored = []
+        record = JobJournal.record
+
+        def checked(journal, event, job_id, **fields):
+            if event == "complete":
+                merged = PartitionResultStore(state).merge()
+                if merged.get(job_id, {}).get("row") is None:
+                    unstored.append(job_id)
+            record(journal, event, job_id, **fields)
+
+        monkeypatch.setattr(JobJournal, "record", checked)
+        corpus = AppCorpus(size=4, base_seed=910100, profile=SERVE_PROFILE)
+        report = run_soak(
+            corpus,
+            config=_lane_config(
+                pool, tmp_path, workers=2, vet=False,
+                journal_path=str(tmp_path / "journal.jsonl"),
+                state_dir=str(state),
+            ),
+        )
+        assert report.ok and report.completed == 4
+        assert unstored == []
+
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_retries_exhaust_into_failure(self, pool, tmp_path):
         corpus = AppCorpus(size=4, base_seed=910700, profile=SERVE_PROFILE)
         report = run_soak(
             corpus,
-            config=ServeConfig(workers=1, max_attempts=2),
+            config=_lane_config(pool, tmp_path, workers=1, max_attempts=2),
             inject=frozenset({"worker-crash"}),
             crashes_per_worker=6,
         )
@@ -835,14 +920,14 @@ class TestDeadLanePlacement:
         # The dead lane's load was reset to 0.0 at reap time, which
         # (pre-fix) made it the preferred LPT target.
         service._lane_loads = [0.0, 500.0]
-        service._place_pooled(make_batches(jobs))
+        service._place(make_batches(jobs))
         assert service._pool.submitted[0] == []
         assert len(service._pool.submitted[1]) == 4
         assert all(job.state == JobState.ASSIGNED for job in jobs)
 
     def test_all_lanes_dead_parks_batches_until_restart(self, tmp_path):
         service, jobs = self._service(tmp_path, 1, [False])
-        service._place_pooled(make_batches(jobs))
+        service._place(make_batches(jobs))
         assert service._pool.submitted[0] == []
         assert service._deferred
         # Parked jobs are untouched: no attempt burned, no ASSIGNED
@@ -851,7 +936,7 @@ class TestDeadLanePlacement:
         # The pump loop re-places the parked batches after restart.
         service._lane_alive[0] = True
         deferred, service._deferred = service._deferred, []
-        service._place_pooled(deferred)
+        service._place(deferred)
         assert len(service._pool.submitted[0]) == 4
         assert all(job.attempts == 1 for job in jobs)
 
@@ -940,6 +1025,24 @@ class TestCrashRecovery:
         assert report.counters["serve.recovered.pending"] == 0
         assert report.counters.get("serve.submitted", 0) == 0
         assert report.rows() == first.rows()
+
+    @pytest.mark.parametrize("pool", LANE_KINDS)
+    def test_crash_after_stops_at_exactly_n_terminal_jobs(
+        self, pool, tmp_path
+    ):
+        """A simulated orchestrator death stops all progress: no lane
+        keeps serving and no later record is journaled terminal."""
+        from repro.serve import ServiceCrash, replay_journal
+
+        journal = tmp_path / "journal.jsonl"
+        corpus = AppCorpus(size=8, base_seed=913600, profile=SERVE_PROFILE)
+        config = _lane_config(
+            pool, tmp_path, workers=2, vet=False,
+            journal_path=str(journal), crash_after=3,
+        )
+        with pytest.raises(ServiceCrash, match="after 3 terminal jobs"):
+            run_soak(corpus, config=config)
+        assert len(replay_journal(journal).terminal) == 3
 
     def test_async_mode_journals_and_recovers_too(self, tmp_path):
         """Durability is not process-pool-only: the async orchestrator
