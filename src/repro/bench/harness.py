@@ -287,6 +287,19 @@ def check_options(targets, baseline) -> None:
         )
 
 
+def _rejection_row(app: AndroidApp, index: int, error) -> LintErrorRow:
+    """The row of an app the strict gate rejected with ``error``."""
+    errors = error.report.errors()
+    return LintErrorRow(
+        package=app.package,
+        category=app.category,
+        index=index,
+        rules=tuple(sorted({d.rule for d in errors})),
+        error_count=len(errors),
+        message=str(error),
+    )
+
+
 def _lint_gate(app: AndroidApp, index: int) -> Optional[LintErrorRow]:
     """The strict lint gate: None when ``app`` passes, else its row."""
     import repro.lint as lint
@@ -294,15 +307,7 @@ def _lint_gate(app: AndroidApp, index: int) -> Optional[LintErrorRow]:
     try:
         lint.check_app(app)
     except lint.LintError as error:
-        errors = error.report.errors()
-        return LintErrorRow(
-            package=app.package,
-            category=app.category,
-            index=index,
-            rules=tuple(sorted({d.rule for d in errors})),
-            error_count=len(errors),
-            message=str(error),
-        )
+        return _rejection_row(app, index, error)
     return None
 
 
@@ -339,7 +344,10 @@ def run_pipeline(
 
     * **Gate.** Under ``strict`` the app passes the lint gate first; a
       rejection becomes a :class:`LintErrorRow` instead of an
-      exception, whatever the build step.
+      exception, whatever the build step.  A whole-app build gates
+      through ``AppWorkload.build(lint_gate=True)``, whose FP-001
+      audit runs on the plans the build compiles; the other build
+      steps gate before they start.
     * **Build.** The whole app by default.  With ``targets`` (a
       :class:`repro.vetting.targeted.TargetSpec`) only the backward
       slice into those sinks; an app calling none of them yields a
@@ -359,7 +367,8 @@ def run_pipeline(
     ``targets`` with a baseline is rejected (:func:`check_options`).
     """
     check_options(targets, baseline_app)
-    if strict:
+    whole_app = targets is None and baseline_app is None
+    if strict and not whole_app:
         with obs.span(f"lint.gate:{app.package}", category="lint"):
             rejected = _lint_gate(app, index)
         if rejected is not None:
@@ -404,10 +413,16 @@ def run_pipeline(
             analyzed, workload = built.sliced_app, built.workload
             vet_built = functools.partial(targeted.vet_targeted_report, built)
         else:
+            from repro.lint import LintError
             from repro.vetting import report as reporting
 
             analyzed = app
-            workload = AppWorkload.build(app)
+            try:
+                workload = AppWorkload.build(app, lint_gate=strict)
+            except LintError as error:
+                return PipelineResult(
+                    _rejection_row(app, index, error), None, None, None
+                )
             vet_built = functools.partial(
                 reporting.vet_workload, app, workload, resolve_icc=resolve_icc
             )

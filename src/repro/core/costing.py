@@ -110,22 +110,21 @@ def _lane_for_visit(
 ) -> LaneWork:
     """Translate one trace visit into the warp lane descriptor."""
     costs = config.costs
-    all_meta = trace.node_meta
-    meta = all_meta[trace.nodes[visit]]
+    arrays = trace.node_arrays
+    node = trace.nodes[visit]
+    group = arrays.group[node]
+    successors = arrays.successors[node]
     in_size = trace.in_sizes[visit]
     out_size = trace.out_sizes[visit]
     new_total = trace.new_facts[visit]
 
     if config.use_grp:
-        branch = str(meta.group)
-        storage = meta.grouped_position
-
-        def position(node: int) -> int:
-            return all_meta[node].grouped_position
-
+        branch = str(group)
+        storage = arrays.grouped_position[node]
+        position = arrays.grouped_position.__getitem__
     else:
-        branch = str(meta.branch_class)
-        storage = meta.node
+        branch = str(arrays.branch_class[node])
+        storage = node
 
         def position(node: int) -> int:
             return node
@@ -135,13 +134,11 @@ def _lane_for_visit(
         # bits that changed.  One-time generators do their constant GEN
         # only on the first visit.
         first_visit = trace.first_visits[visit]
-        gen_work = out_size if (meta.group != 0 or first_visit) else 0
+        gen_work = out_size if (group != 0 or first_visit) else 0
         compute = costs.node_issue_cycles + costs.mat_lookup_cycles * (
             gen_work + new_total
         )
-        fact_elements = [storage] + [
-            position(successor) for successor in meta.successors
-        ]
+        fact_elements = [storage] + [position(successor) for successor in successors]
         fact_accesses = tuple(
             (REGION_FACTS, element, MAT_ROW_BYTES) for element in fact_elements
         )
@@ -159,7 +156,7 @@ def _lane_for_visit(
     compute = (
         costs.node_issue_cycles
         + costs.set_scan_cycles_per_entry
-        * (in_size + out_size * max(len(meta.successors), 1))
+        * (in_size + out_size * max(len(successors), 1))
         + costs.set_insert_cycles * new_total
     )
     touched = in_size + new_total
@@ -473,7 +470,7 @@ def _price_block_scalar(
     costs = config.costs
     memory = MemoryModel(config.spec)
     warp_size = config.spec.warp_size
-    meta = trace.node_meta
+    group = trace.node_arrays.group
     nodes = trace.nodes
 
     compute_cycles = 0.0
@@ -493,7 +490,7 @@ def _price_block_scalar(
     ):
         visits: Sequence[int] = range(start, stop)
         if config.use_grp:
-            visits = sorted(visits, key=lambda visit: meta[nodes[visit]].group)
+            visits = sorted(visits, key=lambda visit: group[nodes[visit]])
             sort_cycles += _sort_cycles(costs, worklist_size)
 
         lanes = [_lane_for_visit(trace, visit, config) for visit in visits]

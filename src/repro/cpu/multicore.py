@@ -108,12 +108,13 @@ class MulticoreWorklist:
         cycles: Dict[str, float] = {}
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
-            method_of = [meta.method for meta in trace.node_meta]
+            arrays = trace.node_arrays
+            method_of, methods = arrays.method_index, arrays.methods
             rounds = max(1, trace.summary_rounds)
             for node, in_size, new_facts in zip(
                 trace.nodes, trace.in_sizes, trace.new_facts
             ):
-                method = method_of[node]
+                method = methods[method_of[node]]
                 work = (
                     costs.visit_cycles
                     + costs.fact_scan_cycles * in_size

@@ -16,7 +16,9 @@ Entry points::
 CLI: ``gdroid lint`` (see README).  Strict gates: the pipeline's
 ``strict`` option (``gdroid bench --strict``), which turns a rejection
 into a :class:`repro.bench.harness.LintErrorRow`, or
-``AppWorkload.build(app, lint_gate=True)``, which raises.
+``AppWorkload.build(app, lint_gate=True)``, which raises.  A whole-app
+strict build runs its gate under :func:`gating`, which leaves the FP-001
+plan audit to the build's compile table.
 """
 
 from repro.lint.diagnostics import (
@@ -28,6 +30,7 @@ from repro.lint.diagnostics import (
     LintError,
     LintReport,
 )
+from repro.lint.context import gating
 from repro.lint.runner import PASSES, check_app, run_lint
 
 __all__ = [
@@ -40,5 +43,6 @@ __all__ = [
     "LintReport",
     "PASSES",
     "check_app",
+    "gating",
     "run_lint",
 ]

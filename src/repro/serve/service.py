@@ -41,6 +41,7 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -524,25 +525,19 @@ class VettingService:
         """Synchronous front door: drive :meth:`serve` to completion."""
         return asyncio.run(self.serve(jobs, feed=feed, recovered=recovered))
 
-    def _build_pool(self):
+    def _build_pool(self, state_dir: Optional[str]):
         config = self.config
         if config.pool != "process":
             # In-process lanes share the source's memoised corpus apps.
             corpus = (
                 self.source if isinstance(self.source, CorpusSource) else None
             )
-            store = (
-                PartitionResultStore(config.state_dir)
-                if config.state_dir
-                else None
-            )
+            store = PartitionResultStore(state_dir) if state_dir else None
             return AsyncWorkerPool(
                 config.workers, self.injector, corpus, config.strict,
                 config.vet, config.timeout_s, store,
             )
-        state_dir = config.state_dir or tempfile.mkdtemp(
-            prefix="gdroid-serve-"
-        )
+        assert state_dir is not None
         corpus = getattr(self.source, "corpus", None)
         spec = PoolSpec(
             state_dir=str(state_dir),
@@ -596,12 +591,22 @@ class VettingService:
             jobs=len(self._jobs),
             workers=config.workers,
             pool=config.pool,
-        ):
+        ), ExitStack() as run_scope:
             self._owned = [{} for _ in range(config.workers)]
             self._lane_loads = [0.0] * config.workers
             self._lane_alive = [True] * config.workers
             self._deferred = []
-            self._pool = self._build_pool()
+            state_dir = config.state_dir
+            if config.pool == "process" and not state_dir:
+                # Process lanes need a result store on disk.  Without the
+                # caller's, the run makes its own and removes it on the
+                # way out, however the run ends.
+                state_dir = run_scope.enter_context(
+                    tempfile.TemporaryDirectory(
+                        prefix="gdroid-serve-", ignore_cleanup_errors=True
+                    )
+                )
+            self._pool = self._build_pool(state_dir)
             store = self._pool.store
             if store is not None and store.tmp_purged:
                 self._count("serve.store.tmp_purged", store.tmp_purged)

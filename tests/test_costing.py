@@ -168,12 +168,12 @@ class TestGrpWarpHomogeneity:
 
         config = GDroidConfig.mat_grp()
         trace = block_result.trace_sync
-        meta = trace.node_meta
+        group = trace.node_arrays.group
         for start, stop in trace.iteration_bounds():
             visits = sorted(
-                range(start, stop), key=lambda v: meta[trace.nodes[v]].group
+                range(start, stop), key=lambda v: group[trace.nodes[v]]
             )
-            groups = [meta[trace.nodes[v]].group for v in visits]
+            groups = [group[trace.nodes[v]] for v in visits]
             transitions = sum(
                 1 for a, b in zip(groups, groups[1:]) if a != b
             )

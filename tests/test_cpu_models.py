@@ -33,7 +33,7 @@ class TestMulticore:
         for result in workload.block_results:
             trace = result.trace_mer or result.trace_sync
             for node in trace.nodes:
-                visited_methods.add(trace.node_meta[node].method)
+                visited_methods.add(trace.node_arrays.method_of(node))
         assert set(per_method) == visited_methods
 
     def test_layer_barriers_counted(self, workload):

@@ -14,10 +14,12 @@ from repro.apk.corpus import AppCorpus
 from repro.apk.generator import AppGenerator
 from repro.apk.loader import load_gdx, save_gdx
 from repro.bench.harness import (
+    ENGINE_GDROID,
     AppEvaluation,
     LintErrorRow,
     _CACHE,
     evaluate_corpus,
+    run_pipeline,
 )
 from repro.core.engine import AppWorkload
 from repro.dataflow.facts import FactSpace
@@ -337,6 +339,95 @@ class TestFactPoolAcceptance:
             for plan in TransferFunctions(space).plans:
                 for _, value, bound in FactPoolPass._plan_indices(plan, space):
                     assert 0 <= value < bound
+
+
+# -- FP-001 on the plans a build runs -----------------------------------------
+
+
+@pytest.fixture
+def out_of_range_compiler(monkeypatch):
+    """Patch the transfer compiler to emit a kill slot past the pool
+    (only in the methods ``wants(signature)`` picks)."""
+    compile_plan = TransferFunctions._compile
+    wants = {"method": lambda signature: True}
+
+    def corrupt(self, statement, summaries):
+        plan = compile_plan(self, statement, summaries)
+        if plan.kill_slot is not None and wants["method"](str(self.space.method.signature)):
+            plan = dataclasses.replace(plan, kill_slot=self.space.slot_count + 7)
+        return plan
+
+    monkeypatch.setattr(TransferFunctions, "_compile", corrupt)
+    return wants
+
+
+def _error_rules(report):
+    return sorted({d.rule for d in report.errors()})
+
+
+class TestFp001OnCompiledPlans:
+    """Under ``strict`` a whole-app build audits the plans it compiles;
+    every other gate audits a lint compile of its own.  Each rejects a
+    compiler that emits an out-of-range slot."""
+
+    APP_SEED = 2020
+
+    def test_run_lint(self, out_of_range_compiler):
+        assert _error_rules(run_lint(tiny_app(self.APP_SEED))) == ["FP-001"]
+
+    def test_gated_build(self, out_of_range_compiler):
+        with pytest.raises(LintError) as excinfo:
+            AppWorkload.build(tiny_app(self.APP_SEED), lint_gate=True)
+        assert _error_rules(excinfo.value.report) == ["FP-001"]
+
+    @pytest.mark.parametrize("path", ["full", "targeted", "baseline"])
+    def test_strict_run_pipeline(self, path, out_of_range_compiler, tmp_path):
+        from repro.dataflow.incremental import MethodSummaryStore
+        from repro.vetting.targeted import TargetSpec
+
+        app = tiny_app(self.APP_SEED)
+        options = {
+            "full": {},
+            "targeted": {"targets": TargetSpec.parse("SMS")},
+            "baseline": {
+                "baseline_app": app,
+                "store": MethodSummaryStore(tmp_path / "store"),
+            },
+        }[path]
+        result = run_pipeline(app, 0, ENGINE_GDROID, True, True, **options)
+        assert isinstance(result.row, LintErrorRow)
+        assert result.row.rules == ("FP-001",)
+        assert result.verdict is None
+
+    def test_gated_build_audits_environment_plans(self, out_of_range_compiler):
+        """Environment methods exist only in the build: a lint compile
+        of the app never sees their plans, the gated build does."""
+        out_of_range_compiler["method"] = lambda signature: "__env__" in signature
+        app = tiny_app(self.APP_SEED)
+        assert app.components
+        assert not run_lint(app).errors()
+        with pytest.raises(LintError) as excinfo:
+            AppWorkload.build(app, lint_gate=True)
+        assert _error_rules(excinfo.value.report) == ["FP-001"]
+        assert all("__env__" in d.method for d in excinfo.value.report.errors())
+
+    def test_gated_build_compiles_each_plan_set_once(self, monkeypatch):
+        """The gate draws its CFGs from the build's table and leaves
+        FP-001 to it: no method is compiled or given a CFG twice."""
+        from repro import obs
+        from repro.cfg.intra import IntraCFG
+
+        made = {IntraCFG: 0, TransferFunctions: 0}
+        for cls in made:
+            def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                made[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        with obs.tracing() as tracer:
+            workload = AppWorkload.build(tiny_app(self.APP_SEED), lint_gate=True)
+        assert made[TransferFunctions] == tracer.counters["block.compiles"]
+        assert made[IntraCFG] == len(workload.analyzed_app.methods)
 
 
 # -- JSON / report shape ------------------------------------------------------

@@ -885,6 +885,66 @@ class TestProcessPool:
         assert pooled.rows() == baseline.rows()
 
 
+class TestRunStateDir:
+    """A process-pool run given no ``state_dir`` keeps its result store
+    in a temp dir of its own and removes it however the run ends; a
+    caller's ``state_dir`` is never removed."""
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        import tempfile
+
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    @staticmethod
+    def _config(**overrides) -> ServeConfig:
+        return ServeConfig(
+            workers=1, vet=False, pool="process", start_method="fork",
+            **overrides,
+        )
+
+    def test_finished_run_removes_its_state_dir(self, temp_root):
+        corpus = AppCorpus(size=3, base_seed=913700, profile=SERVE_PROFILE)
+        assert run_soak(corpus, config=self._config()).ok
+        assert list(temp_root.glob("gdroid-serve-*")) == []
+
+    def test_crashed_run_removes_its_state_dir(self, temp_root, tmp_path):
+        from repro.serve import ServiceCrash
+
+        corpus = AppCorpus(size=4, base_seed=913710, profile=SERVE_PROFILE)
+        config = self._config(
+            journal_path=str(tmp_path / "journal.jsonl"), crash_after=2
+        )
+        with pytest.raises(ServiceCrash):
+            run_soak(corpus, config=config)
+        assert list(temp_root.glob("gdroid-serve-*")) == []
+
+    def test_failed_run_removes_its_state_dir(self, temp_root, monkeypatch):
+        from repro.serve.pool import ProcessWorkerPool
+
+        made = []
+
+        def failing_start(pool):
+            made.append(pool.spec.state_dir)
+            raise RuntimeError("lanes failed to start")
+
+        monkeypatch.setattr(ProcessWorkerPool, "start", failing_start)
+        corpus = AppCorpus(size=2, base_seed=913720, profile=SERVE_PROFILE)
+        with pytest.raises(RuntimeError, match="failed to start"):
+            run_soak(corpus, config=self._config())
+        assert made and made[0].startswith(str(temp_root))
+        assert list(temp_root.glob("gdroid-serve-*")) == []
+
+    def test_caller_state_dir_is_kept(self, temp_root, tmp_path):
+        state = tmp_path / "state"
+        corpus = AppCorpus(size=2, base_seed=913730, profile=SERVE_PROFILE)
+        assert run_soak(corpus, config=self._config(state_dir=str(state))).ok
+        assert state.is_dir() and any(state.iterdir())
+
+
 class _RecordingPool:
     """Stand-in pool capturing submissions, for placement unit tests."""
 

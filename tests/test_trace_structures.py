@@ -1,25 +1,35 @@
 """Trace dataclass helpers and workload-profile accounting."""
 
 from repro.core.engine import AppWorkload
-from repro.core.trace import BlockTrace, NodeMeta
+from array import array
+from itertools import accumulate, chain
+
+from repro.core.trace import BlockTrace, NodeArrays
 from tests.conftest import tiny_app
 
 
-def make_trace():
-    meta = tuple(
-        NodeMeta(
-            node=i,
-            method="a.B.m()V",
-            local_index=i,
-            branch_class=i % 25,
-            group=i % 3,
-            grouped_position=i,
-            successors=(i + 1,) if i < 2 else (),
-            row_words=2,
-        )
-        for i in range(3)
+def one_method_arrays(successors):
+    """Node arrays of a block holding one method with these successors."""
+    count = len(successors)
+    return NodeArrays(
+        methods=("a.B.m()V",),
+        method_start=(0,),
+        method_index=array("i", [0] * count),
+        successors=tuple(successors),
+        successor_start=array("i", accumulate(map(len, successors), initial=0)),
+        successor_ids=array("i", chain.from_iterable(successors)),
+        branch_class=array("i", [i % 25 for i in range(count)]),
+        group=array("i", [i % 3 for i in range(count)]),
+        grouped_position=array("i", range(count)),
+        row_words=array("i", [2] * count),
     )
-    trace = BlockTrace(block_id=0, layer=0, methods=("a.B.m()V",), node_meta=meta)
+
+
+def make_trace():
+    arrays = one_method_arrays([(1,), (2,), ()])
+    trace = BlockTrace(
+        block_id=0, layer=0, methods=("a.B.m()V",), node_arrays=arrays
+    )
     trace.add_visit(node=0, in_size=1, out_size=2, new_facts=2, first_visit=True)
     trace.add_visit(node=1, in_size=2, out_size=2, new_facts=0, first_visit=True)
     trace.add_iteration(worklist_size=2, visits=2, merged=0)
@@ -39,7 +49,9 @@ class TestBlockTrace:
         assert list(trace.iteration_bounds()) == [(0, 2), (2, 3)]
 
     def test_empty_trace(self):
-        trace = BlockTrace(block_id=0, layer=0, methods=(), node_meta=())
+        trace = BlockTrace(
+            block_id=0, layer=0, methods=(), node_arrays=one_method_arrays([])
+        )
         assert trace.max_worklist() == 0
         assert trace.visit_count == 0
 
