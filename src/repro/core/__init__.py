@@ -5,7 +5,10 @@
 * :mod:`repro.core.grouping` -- the memory-access-pattern node
   classification behind GRP (3 groups vs the original 25 classes).
 * :mod:`repro.core.blocks` -- layer-wise method-to-thread-block
-  partitioning and per-node static metadata.
+  partitioning.
+* :mod:`repro.core.compiletable` -- one app build's compile table:
+  each method's CFG once, its transfer plans once per distinct set of
+  callee summaries, and every block's per-node arrays.
 * :mod:`repro.core.trace` -- execution-trace records shared by the
   functional runner and the cost adapters.
 * :mod:`repro.core.blockexec` -- the functional block runner: executes
